@@ -17,7 +17,7 @@ from .subgroups import (Subgroup, subgroup_from_generators,
                         normal_quotient_poset, q_leq_n)
 from .families import (Family, all_abelian, exponent_bounded, cyclic_family,
                        free_modules, elementary, truncated, family_contains,
-                       parse_family_spec)
+                       parse_family_spec, parse_group_spec)
 from .linalg import (BasedSpace, QMatrix, FinitePosetDiagram, snf_reduce,
                      colimit_of_diagram, coinvariants)
 from .presentations import (MorphismCombination, PresentedObject,
@@ -43,7 +43,6 @@ from .wqo import (OrderedLabeledSet, DagSurjection, Framing, ols, dagger,
                   compose_check, lex_compare, find_good_pair,
                   ldag_invariants, ldag_construct_morphism,
                   tautological_framings, factor_framing, is_tautological)
-from .cli import parse_group_spec
 from . import errors
 
 __version__ = "0.1.0"

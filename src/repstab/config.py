@@ -2,6 +2,7 @@
 
 All enumerations refuse inputs above a configurable bound instead of
 silently truncating.  The defaults are sized for interactive desk work.
+Surjection counts are closed-form and need no guard.
 """
 
 from .errors import ScaleExceeded
@@ -10,9 +11,8 @@ from .errors import ScaleExceeded
 DESK_SCALE_ORDER = 4096
 
 # Largest number of candidate matrices a materializing epi enumeration will
-# walk.  Counting routines use chunked vectorized scans and allow more.
+# walk.
 MAX_EPI_CANDIDATES = 2**24
-MAX_COUNT_CANDIDATES = 2**27
 
 
 def check_order(order, limit=None, what="enumeration"):

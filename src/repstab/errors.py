@@ -67,6 +67,12 @@ class InvalidFraming(RepstabError):
     code = "invalid-framing"
 
 
+class LawViolation(RepstabError):
+    """A checked categorical law (section, composition) failed."""
+
+    code = "law-violation"
+
+
 class ParseError(RepstabError):
     """Raised on malformed textual input; carries the offending position."""
 

@@ -8,10 +8,10 @@ supported families contain the trivial group.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+import math
 
 from .errors import ParseError
-from .groups import GroupType
+from .groups import GroupType, _is_prime, trivial_group
 
 KINDS = ("Zpinf", "Zpn", "Cpinf", "Cpn", "Fpn", "Ep", "TruncatedLeq")
 
@@ -27,6 +27,8 @@ class Family:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if not _is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         if self.kind in ("Zpn", "Cpn", "Fpn") and not self.n:
             raise ValueError(f"{self.kind} needs the exponent parameter n")
         if self.kind == "TruncatedLeq" and (self.base is None or not self.bound):
@@ -165,6 +167,13 @@ def parse_family_spec(text):
     Accepted forms: Z2inf, Z3inf, Zpinf:p, Zpn:p,n, Cpinf:p, Cpn:p,n,
     Fpn:p,n, Ep:p, and the shorthands F<q> / E<p> / Z<q> with q = p^n.
     """
+    try:
+        return _family_from_spec(text)
+    except ValueError as exc:
+        raise ParseError(f"bad family spec {text!r}: {exc}") from exc
+
+
+def _family_from_spec(text):
     t = text.strip()
     if t in ("Z2inf", "Z3inf"):
         return all_abelian(int(t[1]))
@@ -189,24 +198,76 @@ def parse_family_spec(text):
         raise ParseError(f"unknown family spec {text!r}")
     for prefix, maker in (("F", free_modules), ("Z", exponent_bounded)):
         if t.startswith(prefix) and t[1:].isdigit():
-            q = int(t[1:])
-            p, n = _prime_power(q, text)
-            return maker(p, n)
+            return maker(*_prime_power_or_raise(int(t[1:]), text, 1))
     if t.startswith("E") and t[1:].isdigit():
         return elementary(int(t[1:]))
     raise ParseError(f"unknown family spec {text!r}")
 
 
-def _prime_power(q, original):
-    for p in count(2):
-        if p * p > q and q > 1:
-            return q, 1
-        if q % p == 0:
-            n = 0
-            while q % p == 0:
-                q //= p
-                n += 1
-            if q != 1:
-                raise ParseError(f"{original!r}: not a prime power")
-            return p, n
-    raise ParseError(f"{original!r}: not a prime power")
+def parse_group_spec(text):
+    """Parse "C8", "C2^3", "C4xC2", or "p=2;lambda=[2,1]" into a group.
+
+    Factors of a product must share the prime; composite cyclic orders are
+    rejected with the offending position.
+    """
+    t = text.strip()
+    if not t:
+        raise ParseError("empty group spec", 0)
+    if t.startswith("p="):
+        return _parse_long_form(t)
+    exps = []
+    prime = None
+    pos = 0
+    for factor in t.split("x"):
+        factor = factor.strip()
+        if not factor.startswith("C") and factor != "1":
+            raise ParseError(f"expected C<order> in {text!r}", pos)
+        if factor == "1" or factor == "C1":
+            pos += len(factor) + 1
+            continue
+        body, _, mult = factor[1:].partition("^")
+        try:
+            order = int(body)
+            mult = int(mult) if mult else 1
+        except ValueError:
+            raise ParseError(f"bad factor {factor!r} in {text!r}", pos)
+        p, e = _prime_power_or_raise(order, text, pos)
+        if prime is None:
+            prime = p
+        elif prime != p:
+            raise ParseError(
+                f"mixed primes {prime} and {p} in {text!r}", pos)
+        exps.extend([e] * mult)
+        pos += len(factor) + 1
+    if prime is None:
+        return trivial_group()
+    return GroupType(prime, tuple(sorted(exps, reverse=True)))
+
+
+def _prime_power_or_raise(order, text, pos):
+    """(p, e) with order = p^e, e >= 1; ParseError otherwise."""
+    if order < 2:
+        raise ParseError(f"factor order {order} too small in {text!r}", pos)
+    p = next((c for c in range(2, math.isqrt(order) + 1) if order % c == 0),
+             order)
+    n, e = order, 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    if n != 1:
+        raise ParseError(f"{order} is not a prime power in {text!r}", pos)
+    return p, e
+
+
+def _parse_long_form(t):
+    try:
+        parts = dict(kv.split("=", 1) for kv in t.split(";"))
+        p = int(parts["p"])
+        lam = parts["lambda"].strip()
+        if not (lam.startswith("[") and lam.endswith("]")):
+            raise ValueError
+        inner = lam[1:-1].strip()
+        exps = tuple(int(v) for v in inner.split(",")) if inner else ()
+        return GroupType(p, tuple(sorted(exps, reverse=True)))
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad long-form group spec {t!r}") from exc

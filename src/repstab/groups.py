@@ -8,9 +8,10 @@ on the cyclic generators, stored with entry (i, j) reduced modulo p^{mu_i}
 divide entry (i, j).
 
 Surjectivity onto a p-group only depends on the induced map of Frattini
-quotients, so it is tested by the rank of the matrix mod p.  Enumerations
-walk all well-defined matrices in lexicographic (row-major) order, which
-fixes canonical, cache-stable orderings everywhere downstream.
+quotients, so it is tested by the rank of the matrix mod p, and surjections
+are counted in closed form from the two partitions.  Enumerations walk all
+well-defined matrices in lexicographic (row-major) order, which fixes
+canonical, cache-stable orderings everywhere downstream.
 """
 
 from dataclasses import dataclass
@@ -188,14 +189,12 @@ def identity_morphism(g):
         for i in range(g.rank)))
 
 
-def zero_morphism(source, target):
-    return Morphism(source, target,
-                    tuple(tuple(0 for _ in range(source.rank))
-                          for _ in range(target.rank)))
-
-
 def _rank_mod_p(rows, p):
-    """Rank over F_p of a small integer matrix given as list of row lists."""
+    """Rank over F_p of a small integer matrix given as a sequence of rows.
+
+    This is the Frattini rank: maps are onto, and elements generate, exactly
+    when their rows span G/pG.
+    """
     mat = [[v % p for v in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -300,11 +299,16 @@ _COUNT_CACHE = {}
 
 
 def count_epis(t, g):
-    """|Epi(t, g)| by enumeration (vectorized scan for large hom sets)."""
+    """|Epi(t, g)| in closed form.
+
+    Entry (i, j) of a matrix t -> g has p^min(mu_i, l_j) values, and its
+    residue mod p is free when mu_i <= l_j and zero otherwise; each free
+    residue class has p^(min - 1) lifts.  With mu sorted non-increasing,
+    row k mod p ranges over F_p^{c_k}, c_k = #{j : l_j >= mu_k}, and these
+    spaces are nested, so the rows are independent in
+    prod_k (p^{c_k} - p^k) ways.
+    """
     key = (t, g)
-    got = _EPI_CACHE.get(key)
-    if got is not None:
-        return len(got)
     cnt = _COUNT_CACHE.get(key)
     if cnt is not None:
         return cnt
@@ -313,134 +317,21 @@ def count_epis(t, g):
     elif not quotient_exists(t, g):
         cnt = 0
     else:
-        n = hom_candidate_count(t, g)
-        if n <= 1 << 14:
-            cnt = sum(1 for _ in iter_epis(t, g))
-        else:
-            config.check_candidates(n, config.MAX_COUNT_CANDIDATES,
-                                    what="epi count")
-            cnt = _count_epis_vectorized(t, g)
+        p, mu, lam = g.p, g.exponents, t.exponents
+        cnt = 1
+        for k, mk in enumerate(mu):
+            c = sum(1 for lj in lam if lj >= mk)
+            cnt *= p ** c - p ** k
+            for lj in lam:
+                cnt *= p ** (min(mk, lj) - (mk <= lj))
     _COUNT_CACHE[key] = cnt
     return cnt
-
-
-def _count_epis_vectorized(t, g):
-    import numpy as np
-
-    p = g.p
-    s, r = g.rank, t.rank
-    # only the residues mod p matter for surjectivity, so each entry slot
-    # contributes its choice count as sheer multiplicity once the slot is
-    # forced to be divisible by p
-    lam = t.exponents
-    mu = g.exponents
-    free_slots = []      # positions (i, j) whose entries range over all of F_p
-    multiplicity = 1
-    for i in range(s):
-        for j in range(r):
-            n_choices = p ** min(mu[i], lam[j])
-            if mu[i] <= lam[j]:
-                # residues cycle through F_p evenly
-                free_slots.append((i, j))
-                multiplicity *= n_choices // p
-            else:
-                # entry is always divisible by p: zero residue
-                multiplicity *= n_choices
-    k = len(free_slots)
-    total = p ** k
-    chunk = 1 << 18
-    count = 0
-    inv_table = np.array([0] + [pow(v, -1, p) for v in range(1, p)],
-                         dtype=np.int16)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        if p == 2:
-            rows_int = np.zeros((stop - start, s), dtype=np.uint32)
-            rem = idx
-            for (i, j) in reversed(free_slots):
-                rem, digit = np.divmod(rem, 2)
-                rows_int[:, i] |= digit.astype(np.uint32) << j
-            count += int(np.count_nonzero(
-                _batch_rank_mod2(rows_int, r) == s))
-        else:
-            mats = np.zeros((stop - start, s, r), dtype=np.int16)
-            rem = idx
-            for (i, j) in reversed(free_slots):
-                rem, digit = np.divmod(rem, p)
-                mats[:, i, j] = digit.astype(np.int16)
-            count += int(np.count_nonzero(
-                _batch_rank_mod_p(mats, p, inv_table) == s))
-    return count * multiplicity
-
-
-def _batch_rank_mod2(rows_int, r):
-    """Ranks over F_2 for a batch of matrices given as bitmask rows."""
-    import numpy as np
-
-    n, s = rows_int.shape
-    basis = np.zeros((n, r), dtype=np.uint32)
-    rank = np.zeros(n, dtype=np.int16)
-    for i in range(s):
-        v = rows_int[:, i].copy()
-        alive = np.ones(n, dtype=bool)
-        for b in range(r - 1, -1, -1):
-            has = ((v >> b) & 1).astype(bool) & alive
-            if not has.any():
-                continue
-            can = has & (basis[:, b] == 0)
-            basis[can, b] = v[can]
-            rank += can
-            alive &= ~can
-            red = has & ~can
-            v = np.where(red, v ^ basis[:, b], v)
-    return rank
-
-
-def _batch_rank_mod_p(mats, p, inv_table):
-    """Ranks of a batch of small matrices over F_p.
-
-    Streams the rows of every matrix through a per-matrix echelon basis
-    indexed by leading position; all operations are (batch, cols) shaped,
-    which keeps the memory traffic linear in the input.
-    """
-    import numpy as np
-
-    n, s, r = mats.shape
-    basis = np.zeros((n, r, r), dtype=np.int16)
-    filled = np.zeros((n, r), dtype=bool)
-    rank = np.zeros(n, dtype=np.int16)
-    for i in range(s):
-        v = mats[:, i, :].astype(np.int16) % p
-        alive = np.ones(n, dtype=bool)
-        for b in range(r):
-            coef = v[:, b]
-            has = (coef != 0) & alive
-            if not has.any():
-                continue
-            can_insert = has & ~filled[:, b]
-            if can_insert.any():
-                inv = inv_table[coef * can_insert]
-                norm = (v * inv[:, None]) % p
-                basis[can_insert, b, :] = norm[can_insert]
-                filled[can_insert, b] = True
-                rank += can_insert
-                alive &= ~can_insert
-            reduce = has & ~can_insert
-            if reduce.any():
-                v = np.where(reduce[:, None],
-                             (v - coef[:, None] * basis[:, b, :]) % p, v)
-    return rank
 
 
 def automorphisms(g, limit=None):
     """All invertible endomorphisms; equals enumerate_epis(g, g)."""
     config.check_order(g.order, limit, what="automorphism enumeration")
     return enumerate_epis(g, g)
-
-
-def count_automorphisms(g):
-    return count_epis(g, g)
 
 
 @lru_cache(maxsize=None)

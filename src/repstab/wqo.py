@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import config
-from .errors import NotSurjective, ShapeMismatch, InvalidFraming
-from .groups import GroupType
+from .errors import (NotSurjective, ShapeMismatch, InvalidFraming,
+                     LawViolation)
+from .groups import GroupType, _rank_mod_p
+from .subgroups import _p_val
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,8 @@ def dagger(values, target_size=None):
     """The minimum-preimage section with a monotonicity verdict.
 
     Checks the section laws: the surjection composed with its section is
-    the identity and the section composed back never moves elements up.
+    the identity and the section composed back never moves elements up;
+    a failure raises LawViolation.
     """
     values = tuple(values)
     if target_size is None:
@@ -98,8 +101,10 @@ def dagger(values, target_size=None):
     if set(values) != set(range(target_size)):
         raise NotSurjective("value list must be onto the target range")
     sec = dagger_map(values, target_size)
-    assert all(values[sec[y]] == y for y in range(target_size))
-    assert all(sec[values[x]] <= x for x in range(len(values)))
+    if not all(values[sec[y]] == y for y in range(target_size)):
+        raise LawViolation("the section is not a right inverse")
+    if not all(sec[values[x]] <= x for x in range(len(values))):
+        raise LawViolation("the section is not the minimum preimage")
     monotone = all(sec[y] < sec[y + 1] for y in range(target_size - 1))
     return sec, monotone
 
@@ -112,7 +117,7 @@ def compose_check(phi, psi):
     """Verify the section of a composite is the composite of sections.
 
     phi: X -> Y and psi: Y -> Z as value lists, both min-section
-    monotone.  Returns True; raising means the law failed.
+    monotone.  Returns True; LawViolation means the law failed.
     """
     nz = max(psi) + 1
     ny = max(phi) + 1
@@ -124,7 +129,7 @@ def compose_check(phi, psi):
     seccomp, m3 = dagger(comp, nz)
     expected = tuple(secphi[secpsi[z]] for z in range(nz))
     if seccomp != expected or not m3:
-        raise AssertionError("section composition law failed")
+        raise LawViolation("section composition law failed")
     return True
 
 
@@ -254,7 +259,7 @@ def ldag_construct_morphism(x, y):
         values[ye] = cand
     mor = DagSurjection(y, x, tuple(values))
     if not mor.is_valid():
-        raise AssertionError("constructed morphism violates the laws")
+        raise LawViolation("constructed morphism violates the laws")
     return mor
 
 
@@ -312,6 +317,9 @@ class Framing:
     def __post_init__(self):
         if len(self.assignment) != self.domain.size:
             raise InvalidFraming("assignment must cover the domain")
+        if any(len(elt) != self.target.rank for elt in self.assignment):
+            raise InvalidFraming("elements must have one coordinate per "
+                                 "cyclic factor of the target")
         for e, elt in enumerate(self.assignment):
             if element_exponent(self.target, elt) > self.domain.labels[e]:
                 raise InvalidFraming(
@@ -321,21 +329,19 @@ class Framing:
 
 
 def element_exponent(g, elt):
-    """eta: the exponent of the order of an element."""
+    """eta: the exponent of the order of an element.
+
+    A coordinate x in Z/p^l has order p^(l - v_p(x)); the element's order
+    is the largest over its nonzero coordinates.
+    """
     p = g.p
-    mods = g.moduli()
-    e = 0
-    cur = tuple(v % m for v, m in zip(elt, mods))
-    while any(cur):
-        cur = tuple((v * p) % m for v, m in zip(cur, mods))
-        e += 1
-    return e
+    return max((ex - _p_val(v % p ** ex, p)
+                for v, ex in zip(elt, g.exponents) if v % p ** ex), default=0)
 
 
 def _generates(g, elements):
-    from .subgroups import subgroup_from_generators
-    return subgroup_from_generators(g, [list(e) for e in elements]).order \
-        == g.order
+    """Burnside: elements generate g iff they span the Frattini quotient."""
+    return _rank_mod_p(elements, g.p) == g.rank
 
 
 def tautological_framings(a, omega=None, limit=None):

@@ -125,3 +125,42 @@ def dense_evaluate_dim(x, t):
     rows = [[cols[j][i] for j in range(len(cols))]
             for i in range(len(labels))]
     return len(labels) - dense_rank(rows)
+
+
+def count_surjective_fp_matrices(p, m, n):
+    """Number of n x m matrices over F_p of rank n, visiting each one.
+
+    Depth-first over rows: a prefix of independent rows is only extended by
+    a row outside its span, so every leaf at depth n is one surjective
+    matrix F_p^m -> F_p^n, and the leaves are counted one at a time.
+    Vectors are coded as base-p integers with table arithmetic.
+    """
+    if n == 0:
+        return 1
+    q = p ** m
+    digits = [[(a // p ** i) % p for i in range(m)] for a in range(q)]
+
+    def code(vec):
+        return sum(d * p ** i for i, d in enumerate(vec))
+
+    add = [[code([(x + y) % p for x, y in zip(digits[a], digits[b])])
+            for b in range(q)] for a in range(q)]
+    mul = [[code([(c * x) % p for x in digits[a]]) for a in range(q)]
+           for c in range(p)]
+
+    def walk(depth, span):
+        if depth == n - 1:
+            leaves = 0
+            for v in range(q):
+                if v not in span:
+                    leaves += 1
+            return leaves
+        total = 0
+        for v in range(q):
+            if v in span:
+                continue
+            line = [mul[c][v] for c in range(p)]
+            total += walk(depth + 1, {add[s][w] for s in span for w in line})
+        return total
+
+    return walk(0, {0})

@@ -30,6 +30,8 @@ from repstab.wqo import (dagger, is_dag_monotone, compose_check, lex_compare,
                          tautological_framings, Framing, factor_framing,
                          element_exponent, _surjections, _generates)
 
+from oracles import count_surjective_fp_matrices
+
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
 Z2 = all_abelian(2)
@@ -58,6 +60,8 @@ def test_criterion_02_epi_count_formula():
                 g = group(p, [1] * n)
                 expected = math.prod(p ** m - p ** i for i in range(n))
                 assert count_epis(t, g) == expected, (p, m, n)
+                assert count_surjective_fp_matrices(p, m, n) == expected, \
+                    (p, m, n)
     _report(2, "surjection counts match the falling product for "
                "p in {2,3}, m <= 4, by exhaustive matrix enumeration")
 

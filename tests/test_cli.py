@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repstab
 
 from repstab.cli import main, parse_group_spec, parse_object_spec
 from repstab.groups import group, cyclic, trivial_group
@@ -14,6 +20,7 @@ def run_cli(args, capsys):
 
 
 def test_parse_group_spec():
+    assert repstab.parse_group_spec is parse_group_spec
     assert parse_group_spec("C4xC2") == group(2, [2, 1])
     assert parse_group_spec("p=3;lambda=[1,1]") == group(3, [1, 1])
     assert parse_group_spec("C2^3") == group(2, [1, 1, 1])
@@ -160,3 +167,42 @@ def test_env_var_cache(tmp_path, monkeypatch, capsys):
                             "--family", "Z2inf"], capsys)
     assert code == 0
     assert (tmp_path / "envcache").exists()
+
+
+@pytest.mark.parametrize("spec", ["Zpinf:4", "E4"])
+def test_non_prime_family_rejected(spec, capsys, tmp_path):
+    code, out, err = run_cli(["decompose-tensor", "--g", "C2", "--h", "C2",
+                              "--family", spec, "--cache", str(tmp_path)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parse-error"
+
+
+def test_wqo_check_reports_broken_sections(monkeypatch, capsys):
+    import repstab.wqo as wqo
+    monkeypatch.setattr(wqo, "dagger_map",
+                        lambda values, k: tuple(range(k))[::-1])
+    code, out, _ = run_cli(["wqo-check", "--size", "3"], capsys)
+    blob = json.loads(out)
+    assert code == 2 and not blob["ok"] and blob["failures"]
+
+
+def test_no_numpy_and_quiet_module_entry(tmp_path):
+    # counting never reaches for numpy, and `python -m repstab.cli` runs
+    # without any warning on stderr
+    env = dict(os.environ)
+    src = str(Path(repstab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, repstab\n"
+             "from repstab.groups import group, count_epis\n"
+             "for p, m, n in ((2, 5, 4), (3, 4, 3), (5, 3, 2), (5, 3, 3)):\n"
+             "    assert count_epis(group(p, [1] * m), group(p, [1] * n))\n"
+             "assert 'numpy' not in sys.modules\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "repstab.cli",
+                          "cache-info", "--cache", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr == ""

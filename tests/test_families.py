@@ -1,9 +1,9 @@
 import pytest
 
 from repstab.groups import group, cyclic, trivial_group
-from repstab.families import (all_abelian, exponent_bounded, cyclic_family,
-                              free_modules, elementary, truncated,
-                              family_contains, parse_family_spec)
+from repstab.families import (Family, all_abelian, exponent_bounded,
+                              cyclic_family, free_modules, elementary,
+                              truncated, family_contains, parse_family_spec)
 from repstab.errors import ParseError
 
 
@@ -63,3 +63,23 @@ def test_parse_specs():
         parse_family_spec("F6")
     with pytest.raises(ParseError):
         parse_family_spec("weird")
+
+
+@pytest.mark.parametrize("spec", ["F0", "F1", "Z0", "Z1"])
+def test_degenerate_prime_power_shorthands_raise(spec):
+    with pytest.raises(ParseError):
+        parse_family_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["Zpinf:4", "E4", "E1", "Ep:6", "Cpn:9,2",
+                                  "Zpn:2,0"])
+def test_bad_family_parameters_raise(spec):
+    with pytest.raises(ParseError):
+        parse_family_spec(spec)
+
+
+def test_family_requires_prime():
+    with pytest.raises(ValueError):
+        Family("Zpinf", 4)
+    with pytest.raises(ValueError):
+        elementary(1)

@@ -9,6 +9,7 @@ from repstab.groups import (group, cyclic, trivial_group,
                             automorphisms, automorphism_generators,
                             quotient_exists, lift_epi, hom_candidate_count)
 from repstab.errors import DivisibilityViolation, ShapeMismatch
+from repstab.families import all_abelian
 from repstab.subgroups import image, quotient
 
 from oracles import count_epis_bruteforce, all_matrices, is_onto_bruteforce
@@ -103,13 +104,40 @@ def test_enumeration_is_lexicographic_and_canonical():
         assert all(0 <= v < 2 for row in f.matrix for v in row)
 
 
-def test_vectorized_count_agrees_with_iteration():
-    # the chunked scan and the python loop must agree above the cutoff
-    t, g = group(2, [1] * 4), group(2, [1] * 4)
-    assert hom_candidate_count(t, g) > 1 << 14
-    from repstab.groups import _count_epis_vectorized
-    assert _count_epis_vectorized(t, g) == \
-        math.prod(2 ** 4 - 2 ** i for i in range(4))
+def test_closed_form_count_agrees_with_enumeration():
+    # mixed exponents: closed form vs the mod-p walk vs image enumeration
+    pairs = [(group(2, [2, 1]), group(2, [1, 1])),
+             (group(2, [3, 1]), group(2, [2, 1])),
+             (group(2, [2, 2, 1]), group(2, [2, 1])),
+             (group(2, [3, 2]), cyclic(2, 2)),
+             (group(3, [2, 1]), group(3, [1, 1])),
+             (group(3, [3, 1]), group(3, [2, 1])),
+             (group(3, [2, 1]), cyclic(3, 2)),
+             (group(5, [2, 1]), group(5, [1, 1])),
+             (group(5, [2, 1]), cyclic(5, 2))]
+    for t, g in pairs:
+        n = count_epis(t, g)
+        assert n > 0, (t, g)
+        assert n == sum(1 for _ in iter_epis(t, g)), (t, g)
+        assert n == count_epis_bruteforce(t, g), (t, g)
+    # above every former scan bound: 2^30 candidates
+    t, g = group(2, [1] * 6), group(2, [1] * 5)
+    assert count_epis(t, g) == math.prod(2 ** 6 - 2 ** i for i in range(5))
+
+
+def test_closed_form_count_on_small_families():
+    # every pair of members with at most 2^14 candidate matrices
+    checked = 0
+    for p, bound in ((2, 64), (3, 81), (5, 125)):
+        members = all_abelian(p).members(bound)
+        for t in members:
+            for g in members:
+                if hom_candidate_count(t, g) > 1 << 14:
+                    continue
+                assert count_epis(t, g) == \
+                    sum(1 for _ in iter_epis(t, g)), (t, g)
+                checked += 1
+    assert checked == 975
 
 
 def test_automorphisms_examples():

@@ -10,7 +10,7 @@ from repstab.wqo import (Framing, ols,
                          ldag_construct_morphism, enumerate_morphisms,
                          tautological_framings, factor_framing,
                          is_tautological, element_exponent, _surjections)
-from repstab.errors import NotSurjective, InvalidFraming
+from repstab.errors import NotSurjective, InvalidFraming, LawViolation
 
 MAXSIZE = 6
 
@@ -221,3 +221,32 @@ def test_framing_validation():
         Framing(ols(1), c4, ((1,),))   # label too small for the order
     with pytest.raises(InvalidFraming):
         Framing(ols(2), c4, ((2,),))   # does not generate
+
+
+def test_law_checks_raise_typed_errors(monkeypatch):
+    # raised, not asserted, so the checks also hold under python -O
+    import repstab.wqo as wqo
+    real = wqo.dagger
+    monkeypatch.setattr(wqo, "dagger_map",
+                        lambda values, k: tuple(range(k))[::-1])
+    with pytest.raises(LawViolation):
+        wqo.dagger((0, 1, 0), 2)
+    with pytest.raises(LawViolation):
+        wqo.compose_check((0, 1, 1), (0, 1))
+    monkeypatch.undo()
+
+    def wrong_composite(values, target_size=None):
+        if tuple(values) == (0, 0, 1, 1):
+            return (0, 3), True
+        return real(values, target_size)
+
+    monkeypatch.setattr(wqo, "dagger", wrong_composite)
+    with pytest.raises(LawViolation):
+        wqo.compose_check((0, 0, 1, 2), (0, 1, 1))
+
+
+def test_framing_rejects_wrong_coordinate_count():
+    with pytest.raises(InvalidFraming):
+        Framing(ols(1), cyclic(2, 1), ((1, 0),))
+    with pytest.raises(InvalidFraming):
+        Framing(ols(1, 1), group(2, [1, 1]), ((1, 0), (1,)))
