@@ -30,8 +30,15 @@ def parse_object_spec(text, family=None, scale=16):
     path = Path(t)
     if t.endswith(".json") or path.exists():
         import json
-        with open(path) as fh:
-            return serialize.presentation_from_json(json.load(fh))
+        try:
+            with open(path) as fh:
+                blob = json.load(fh)
+        except OSError as exc:
+            raise ParseError(f"cannot read object file {t!r}: "
+                             f"{exc.strerror}") from exc
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(f"object file {t!r} is not JSON: {exc}") from exc
+        return serialize.presentation_from_json(blob)
     name, _, arg = t.partition("(")
     arg = arg.rstrip(")")
     if name == "misc-a":

@@ -73,6 +73,12 @@ class LawViolation(RepstabError):
     code = "law-violation"
 
 
+class InvariantViolation(RepstabError):
+    """A verification of a computed result failed; this is a bug."""
+
+    code = "invariant-violation"
+
+
 class ParseError(RepstabError):
     """Raised on malformed textual input; carries the offending position."""
 

@@ -8,7 +8,6 @@ supported families contain the trivial group.
 
 from dataclasses import dataclass
 from functools import lru_cache
-import math
 
 from .errors import ParseError
 from .groups import GroupType, _is_prime, trivial_group
@@ -248,15 +247,23 @@ def _prime_power_or_raise(order, text, pos):
     """(p, e) with order = p^e, e >= 1; ParseError otherwise."""
     if order < 2:
         raise ParseError(f"factor order {order} too small in {text!r}", pos)
-    p = next((c for c in range(2, math.isqrt(order) + 1) if order % c == 0),
-             order)
-    n, e = order, 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ParseError(f"{order} is not a prime power in {text!r}", pos)
-    return p, e
+    for e in range(1, order.bit_length()):
+        p = _iroot(order, e)
+        if p < 2:
+            break
+        if p ** e == order and _is_prime(p):
+            return p, e
+    raise ParseError(f"{order} is not a prime power in {text!r}", pos)
+
+
+def _iroot(n, e):
+    """floor(n ** (1/e)) in integers, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def _parse_long_form(t):

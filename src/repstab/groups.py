@@ -20,7 +20,7 @@ from itertools import product
 import math
 
 from . import config
-from .errors import DivisibilityViolation, ShapeMismatch
+from .errors import DivisibilityViolation, ScaleExceeded, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,40 @@ def delta_rank(g):
     return g.rank
 
 
+# Miller-Rabin with the first thirteen prime bases is exact below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def _is_prime(n):
+    """Exact primality by deterministic Miller-Rabin.
+
+    Inputs without a small factor at or above the proven bound are refused
+    with ScaleExceeded rather than answered probabilistically.
+    """
     if n < 2:
         return False
-    for q in range(2, int(math.isqrt(n)) + 1):
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    if n >= _MR_EXACT_BELOW:
+        raise ScaleExceeded(
+            f"primality of {n} is not decided exactly above {_MR_EXACT_BELOW}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -275,6 +303,31 @@ def iter_epis(t, g):
             yield Morphism(t, g, tuple(tuple(row) for row in rows))
 
 
+def first_epi(t, g):
+    """The first surjection t -> g in lexicographic order, in closed form.
+
+    Equals next(iter_epis(t, g)) (None when there is none) without walking
+    the candidates before it, which for C_p^r -> C_p^s are at least the
+    p^(r(s-1)) matrices with a zero first row.  Row k may have a unit
+    residue only in its first c_k = #{j : l_j >= mu_k} columns, and these
+    supports grow with k.  The smallest row outside the span of unit rows
+    e_j already chosen is e_j for the largest unused j < c_k, and every
+    later row still finds an unused column, so that row is the greedy
+    lexicographic choice.
+    """
+    if g.is_trivial():
+        return Morphism(t, g, ())
+    if not quotient_exists(t, g):
+        return None
+    rows, used = [], set()
+    for mu in g.exponents:
+        c = sum(1 for lj in t.exponents if lj >= mu)
+        j = max(k for k in range(c) if k not in used)
+        used.add(j)
+        rows.append(tuple(int(k == j) for k in range(t.rank)))
+    return Morphism(t, g, tuple(rows))
+
+
 _EPI_CACHE = {}
 
 
@@ -326,6 +379,24 @@ def count_epis(t, g):
                 cnt *= p ** (min(mk, lj) - (mk <= lj))
     _COUNT_CACHE[key] = cnt
     return cnt
+
+
+def aut_transitive_on_epis(t):
+    """Whether Aut(t) acts transitively on Epi(t, h) for every group h.
+
+    True exactly when all exponents of t are equal: t trivial, cyclic,
+    C_p^n or (Z/p^k)^n.  Such a t is a free Z/p^k-module with basis e_i,
+    and every quotient h has exponent dividing p^k.  Given surjections
+    beta, beta': t -> h, pick x_i with beta(x_i) = beta'(e_i).  Adding
+    elements of ker(beta) to the x_i reaches every lift, and ker(beta)
+    maps onto ker(t/pt -> h/ph), so the x_i can be chosen to reduce to a
+    basis of t/pt.  Then sigma(e_i) = x_i is onto by Nakayama, hence an
+    automorphism, and beta o sigma = beta'.  If the exponents differ, the
+    projections onto C_p through a largest and through a smallest cyclic
+    factor differ on the characteristic subgroup t[p^min], so no
+    automorphism relates them.
+    """
+    return len(set(t.exponents)) <= 1
 
 
 def automorphisms(g, limit=None):

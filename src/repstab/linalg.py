@@ -12,6 +12,8 @@ tests).
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class BasedSpace:
@@ -82,6 +84,15 @@ class QMatrix:
     def apply(self, vec):
         return tuple(sum((row[j] * vec[j] for j in range(self.cols)),
                          Fraction(0)) for row in self.entries)
+
+    def apply_sparse(self, col):
+        """Image of a sparse column (dict index -> value), kept sparse."""
+        out = {}
+        for r, row in enumerate(self.entries):
+            v = sum((row[c] * val for c, val in col.items()), Fraction(0))
+            if v:
+                out[r] = v
+        return out
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -175,6 +186,24 @@ class StreamCoker:
         self.pivots[prow] = c
         return True
 
+    def close_under(self, frontier, actions):
+        """Grow the span until every action maps it into itself.
+
+        `frontier` holds columns already in the span; each action maps a
+        sparse column to a sparse column.  Every column that raises the
+        rank is queued and its images offered in turn, so afterwards the
+        span is spanned by columns whose images all lie in it: it is
+        closed under the actions, and under the finite group they
+        generate.
+        """
+        frontier = list(frontier)
+        while frontier and self.rank < self.nrows:
+            col = frontier.pop()
+            for act in actions:
+                img = act(col)
+                if self.offer(img):
+                    frontier.append(img)
+
     @property
     def rank(self):
         return len(self.pivots)
@@ -251,7 +280,9 @@ def snf_reduce(m):
     proj = CokernelProjection(tuple(surv),
                               QMatrix.from_rows(proj_rows) if surv
                               else QMatrix.zeros(0, m.rows))
-    assert rank == coker.rank
+    if rank != coker.rank:
+        raise InvariantViolation(
+            f"row rank {rank} disagrees with column rank {coker.rank}")
     return rank, kernel, proj
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import config
 from .errors import FamilyNotGlobalMultiplicative, NotSurjective, \
-    ShapeMismatch
+    ShapeMismatch, InvariantViolation
 from .groups import (GroupType, Morphism, make_morphism, enumerate_epis,
                      count_epis, automorphisms, quotient_exists)
 from .subgroups import (Subgroup, subgroup_from_lattice_rows,
@@ -654,7 +654,9 @@ def _spread_section(vhom):
     inner = subgroup_from_generators(atype, gens) if gens \
         else trivial_subgroup(atype)
     qt2, proj = quotient(atype, inner)
-    assert qt2 == qt
+    if qt2 != qt:
+        raise InvariantViolation(
+            f"spread {qt!r} disagrees with A/A' = {qt2!r}")
     # section: for each spread generator pick an abstract preimage, then
     # map through the embedding of A
     from .intmat import solve_integer

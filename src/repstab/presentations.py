@@ -11,13 +11,14 @@ surjection) surviving the first-independent convention of
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import config
 from .errors import NotInFamily, NotSurjective
 from .groups import (GroupType, make_morphism, identity_morphism,
-                     enumerate_epis, count_epis, is_surjective,
-                     quotient_exists, trivial_group, cyclic)
+                     enumerate_epis, first_epi, count_epis, is_surjective,
+                     quotient_exists, trivial_group, cyclic,
+                     aut_transitive_on_epis, automorphism_generators)
 from .linalg import BasedSpace, QMatrix, StreamCoker
 from .subgroups import enumerate_subgroups, quotient
 from .families import Family
@@ -117,9 +118,19 @@ def _eval_data(x, t, limit=None):
             labels.append((i, u))
     index = {lab: k for k, lab in enumerate(labels)}
     coker = StreamCoker(len(labels))
+    # The relation span is an Aut(t)-submodule: the column of beta o sigma
+    # is the column of beta with each label (i, u) moved to (i, u o sigma).
+    # When Aut(t) is transitive on every Epi(t, h), one surjection per
+    # relation source and the closure under automorphism generators span
+    # it; the echelon form, hence everything downstream, depends only on
+    # the span.
+    transitive = aut_transitive_on_epis(t)
+    raised = []
     for j, h in enumerate(x.rel_sources):
         col_entries = x.columns[j]
-        for beta in enumerate_epis(t, h):
+        betas = ((first_epi(t, h),) if transitive and quotient_exists(t, h)
+                 else enumerate_epis(t, h))
+        for beta in betas:
             col = {}
             for i, entry in enumerate(col_entries):
                 if entry is None:
@@ -128,8 +139,14 @@ def _eval_data(x, t, limit=None):
                     k = index[(i, mor @ beta)]
                     col[k] = col.get(k, Fraction(0)) + coeff
             col = {k: v for k, v in col.items() if v}
-            if col:
-                coker.offer(col)
+            if col and coker.offer(col):
+                raised.append(col)
+    if transitive and raised:
+        perms = [[index[(i, u @ sigma)] for (i, u) in labels]
+                 for sigma in automorphism_generators(t)]
+        coker.close_under(raised, [
+            lambda col, perm=perm: {perm[k]: v for k, v in col.items()}
+            for perm in perms])
     surv = coker.surviving()
     sp = BasedSpace(len(surv), tuple(labels[r] for r in surv))
     data = EvalData(labels, index, coker, sp)
@@ -310,7 +327,10 @@ def _cover(fun, bound, minimal):
     vector, so each picked vector is closed off under the action before
     the next pick.
     """
-    from .groups import automorphism_generators
+    def push(col, psi, n):
+        vec = tuple(col.get(k, Fraction(0)) for k in range(n))
+        return {k: v for k, v in enumerate(fun.push(psi, vec)) if v}
+
     gens = []
     for g in fun.family.members(max_order=bound):
         sp = fun.space(g)
@@ -320,21 +340,15 @@ def _cover(fun, bound, minimal):
             coker = StreamCoker(sp.dim)
             for col in _proper_pullback_span(fun, g):
                 coker.offer(col)
-            psis = automorphism_generators(g)
+            actions = [partial(push, psi=psi, n=sp.dim)
+                       for psi in automorphism_generators(g)]
             for i in range(sp.dim):
                 vec = tuple(Fraction(1 if k == i else 0)
                             for k in range(sp.dim))
                 if not coker.offer({i: Fraction(1)}):
                     continue
                 gens.append((g, vec))
-                frontier = [vec]
-                while frontier:
-                    v = frontier.pop()
-                    for psi in psis:
-                        w = fun.push(psi, v)
-                        if coker.offer({k: val for k, val in enumerate(w)
-                                        if val}):
-                            frontier.append(w)
+                coker.close_under([{i: Fraction(1)}], actions)
         else:
             for i in range(sp.dim):
                 vec = tuple(Fraction(1 if k == i else 0)
@@ -539,7 +553,6 @@ def builtin_to_presentation(b, scale, limit=None):
 
 def _coinvariant_presentation(family, g):
     """e_g modulo the automorphism action (trivial coefficients)."""
-    from .groups import automorphism_generators
     ident = identity_morphism(g)
     rel_sources, columns = [], []
     for psi in automorphism_generators(g):
@@ -552,7 +565,6 @@ def _coinvariant_presentation(family, g):
 
 def _simple_presentation(family, g, scale):
     """The simple object supported at g, presented up to `scale`."""
-    from .groups import automorphism_generators
     rel_sources, columns = [], []
     ident = identity_morphism(g)
     for psi in automorphism_generators(g):
@@ -596,7 +608,6 @@ def _orbit_structure(g, t):
     """(reps, lookup) for Aut(g) precomposition orbits on Epi(g, t)."""
     if not quotient_exists(g, t):
         return (), {}
-    from .groups import automorphism_generators
     epis = enumerate_epis(g, t)
     index = {f.matrix: i for i, f in enumerate(epis)}
     gens = automorphism_generators(g)

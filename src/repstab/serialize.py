@@ -97,12 +97,28 @@ def presentation_to_json(x):
 
 
 def presentation_from_json(d):
+    """A PresentedObject from its JSON form; ParseError on any malformed
+    or inconsistent input."""
+    try:
+        return _presentation_from_json(d)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"bad presentation: {exc!r}") from exc
+
+
+def _presentation_from_json(d):
     fam = family_from_json(d["family"])
     gens = tuple(group_from_json(g) for g in d["generators"])
     rel_sources = tuple(group_from_json(h)
                         for h in d.get("relation_sources", ()))
+    relations = d.get("relations", ())
+    if len(relations) != len(rel_sources):
+        raise ParseError(f"{len(relations)} relation columns for "
+                         f"{len(rel_sources)} relation sources")
     columns = []
-    for h, col in zip(rel_sources, d.get("relations", ())):
+    for h, col in zip(rel_sources, relations):
+        if len(col) != len(gens):
+            raise ParseError(f"relation column of length {len(col)} for "
+                             f"{len(gens)} generators")
         entries = []
         for i, entry in enumerate(col):
             terms = [(morphism_from_json(t["matrix"]),

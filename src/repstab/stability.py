@@ -12,14 +12,15 @@ from .errors import (TowerUnavailable, NotStabilized, NotAInfinity,
                      FamilyUnsupported, FamilyNotExpansive,
                      FamilyNotSubmultiplicative)
 from .groups import (GroupType, make_morphism, enumerate_epis, iter_epis,
-                     count_epis, quotient_exists, delta_rank)
+                     first_epi, count_epis, quotient_exists, delta_rank,
+                     aut_transitive_on_epis, automorphism_generators)
 from .linalg import (BasedSpace, QMatrix, FinitePosetDiagram,
                      colimit_of_diagram, StreamCoker, span_rank, _rref)
 from .subgroups import quotient, normal_quotient_poset, q_leq_n
 from .presentations import (evaluate, evaluate_dim, structure_map,
                             _eval_data, restrict_presentation,
                             _orbit_structure)
-from .towers import colimit_tower_stages
+from .towers import colimit_tower_stages, _STAGE_ORDER_LIMIT
 from .intmat import solve_integer
 
 
@@ -195,9 +196,6 @@ def _kernel_vectors(mat):
             vec[pj] = -rref_rows[i][fj]
         out.append(tuple(vec))
     return out
-
-
-_STAGE_ORDER_LIMIT = 2 ** 62
 
 
 def torsion_subspace(x, g, tower, max_stage=6, limit=None):
@@ -405,13 +403,20 @@ def stability_scan(x, restricted_family, max_rank, limit=None):
 
 
 def _first_noninjective(x, a, b, dims, limit=None):
-    """A witness surjection b -> a whose pullback is not injective."""
+    """The first surjection b -> a whose pullback is not injective.
+
+    (alpha o sigma)^* = sigma^* o alpha^* with sigma^* invertible, so the
+    rank is constant on Aut(b)-orbits; when Aut(b) is transitive the first
+    surjection (`first_epi`) decides.
+    """
     da, db = dims[a], dims[b]
     if da == 0:
         return None
     data_b = _eval_data(x, b, limit)
     labels_a = evaluate(x, a, limit).labels
-    for alpha in iter_epis(b, a):
+    transitive = aut_transitive_on_epis(b) and quotient_exists(b, a)
+    alphas = (first_epi(b, a),) if transitive else iter_epis(b, a)
+    for alpha in alphas:
         cols = []
         for (i, u) in labels_a:
             k = data_b.index[(i, u @ alpha)]
@@ -422,7 +427,12 @@ def _first_noninjective(x, a, b, dims, limit=None):
 
 
 def _jointly_surjective(x, a, b, dims, limit=None):
-    """Whether the images of all pullbacks X(a) -> X(b) span X(b)."""
+    """Whether the images of all pullbacks X(a) -> X(b) span X(b).
+
+    The image of (alpha o sigma)^* is sigma^* of the image of alpha^*, so
+    when Aut(b) is transitive the joint image is the image of one pullback
+    closed under the automorphism generators of b.
+    """
     da, db = dims[a], dims[b]
     if db == 0:
         return True
@@ -431,16 +441,23 @@ def _jointly_surjective(x, a, b, dims, limit=None):
     data_b = _eval_data(x, b, limit)
     labels_a = evaluate(x, a, limit).labels
     coker = StreamCoker(db)
-    rank = 0
-    for alpha in iter_epis(b, a):
+    transitive = aut_transitive_on_epis(b) and quotient_exists(b, a)
+    alphas = (first_epi(b, a),) if transitive else iter_epis(b, a)
+    raised = []
+    for alpha in alphas:
         for (i, u) in labels_a:
             k = data_b.index[(i, u @ alpha)]
             col = data_b.coker.project({k: Fraction(1)})
-            if coker.offer({t: v for t, v in enumerate(col) if v}):
-                rank += 1
-                if rank == db:
+            col = {t: v for t, v in enumerate(col) if v}
+            if coker.offer(col):
+                if coker.rank == db:
                     return True
-    return rank == db
+                raised.append(col)
+    if transitive:
+        coker.close_under(raised, [
+            structure_map(x, sigma, limit).apply_sparse
+            for sigma in automorphism_generators(b)])
+    return coker.rank == db
 
 
 def omega_order(x, n, family, max_rank, limit=None):
@@ -557,8 +574,7 @@ def _two_point_orbits(g, h):
 def _lambda_bijective(lo, hi, h):
     """Whether composing with one fixed surjection hi -> lo embeds the
     two-point orbits bijectively."""
-    from .groups import automorphism_generators
-    phi = next(iter_epis(hi, lo))
+    phi = first_epi(hi, lo)
     epis_lo = enumerate_epis(lo, h)
     down = _two_point_orbit_reps(lo, h)
     up_index = _two_point_orbit_index(hi, h)
@@ -570,7 +586,6 @@ def _lambda_bijective(lo, hi, h):
 
 
 def _two_point_orbit_reps(g, h):
-    from .groups import automorphism_generators
     epis = enumerate_epis(g, h)
     idx = _two_point_orbit_index(g, h)
     reps = {}
@@ -582,7 +597,6 @@ def _two_point_orbit_reps(g, h):
 
 
 def _two_point_orbit_index(g, h):
-    from .groups import automorphism_generators
     epis = enumerate_epis(g, h)
     index = {f.matrix: i for i, f in enumerate(epis)}
     n = len(epis)

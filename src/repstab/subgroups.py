@@ -13,7 +13,8 @@ from functools import lru_cache
 from itertools import product
 
 from . import config
-from .errors import NotASubgroup, FamilyNotSubmultiplicative
+from .errors import (NotASubgroup, FamilyNotSubmultiplicative,
+                     InvariantViolation)
 from .groups import GroupType, make_morphism, enumerate_epis
 from .intmat import hermite_row_form, smith_normal_form, integer_kernel
 
@@ -220,7 +221,8 @@ def _rational_inverse(u):
 def _integer_inverse(u):
     """Inverse of a unimodular integer matrix, exact."""
     out = _rational_inverse(u)
-    assert all(v.denominator == 1 for row in out for v in row)
+    if any(v.denominator != 1 for row in out for v in row):
+        raise InvariantViolation("matrix is not unimodular")
     return [[int(v) for v in row] for row in out]
 
 

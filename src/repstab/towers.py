@@ -11,17 +11,18 @@ Relation-free presentations get two fast paths.  For moderate surjection
 sets the automorphisms permute the (generator, surjection) basis and
 coinvariants are orbit counts.  For large sets we use that every tower
 group is a free module or cyclic, so automorphisms act transitively on
-each nonempty surjection set (epi lifting); the coinvariants are then one
-dimension per live generator.  The two routes are cross-checked in the
-test suite.
+each nonempty surjection set (`groups.aut_transitive_on_epis`); the
+coinvariants are then one dimension per live generator.  The two routes
+are cross-checked in the test suite.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TowerUnavailable
+from .errors import TowerUnavailable, InvariantViolation
 from .groups import (GroupType, make_morphism, automorphism_generators,
-                     hom_candidate_count, quotient_exists)
+                     aut_transitive_on_epis, hom_candidate_count,
+                     quotient_exists)
 from .linalg import QMatrix, coinvariants_data
 from .presentations import evaluate, structure_map, _eval_data
 
@@ -77,7 +78,7 @@ class _Stage:
         if not x.rel_sources:
             total = sum(hom_candidate_count(g, gen)
                         for gen in x.generators if quotient_exists(g, gen))
-            if total > _PERM_LABEL_LIMIT:
+            if total > _PERM_LABEL_LIMIT and aut_transitive_on_epis(g):
                 self.mode = "transitive"
                 self.live = [i for i, gen in enumerate(x.generators)
                              if quotient_exists(g, gen)]
@@ -159,7 +160,11 @@ def _connecting(x, tower, i, lo, hi):
             raise TowerUnavailable("mixed stage modes need generator data")
         # tower groups are free or cyclic, so the action on each nonempty
         # surjection set is transitive; a permuted stage must agree
-        assert lo.dim == len(lo_live) and hi.dim == len(hi_live)
+        for st in (lo, hi):
+            if not aut_transitive_on_epis(st.group) or st.dim != len(st.live):
+                raise InvariantViolation(
+                    f"{st.group!r}: {st.dim} orbits for {len(st.live)} "
+                    "live generators")
         pos_hi = {gen: k for k, gen in enumerate(hi_live)}
         mat = [[Fraction(0)] * len(lo_live) for _ in range(len(hi_live))]
         for col, gen in enumerate(lo_live):

@@ -164,3 +164,52 @@ def count_surjective_fp_matrices(p, m, n):
         return total
 
     return walk(0, {0})
+
+
+def relation_span_bruteforce(x, t):
+    """The relation span of x at t, one surjection at a time.
+
+    Offers the relation column of every surjection t -> h for every
+    relation source h, with no use of the automorphism action, and returns
+    the resulting StreamCoker.
+    """
+    from repstab.groups import enumerate_epis
+    from repstab.linalg import StreamCoker
+    labels = [(i, u) for i, g in enumerate(x.generators)
+              for u in enumerate_epis(t, g)]
+    index = {lab: k for k, lab in enumerate(labels)}
+    coker = StreamCoker(len(labels))
+    for h, entries in zip(x.rel_sources, x.columns):
+        for beta in enumerate_epis(t, h):
+            col = {}
+            for i, entry in enumerate(entries):
+                for mor, coeff in (entry.terms if entry is not None else ()):
+                    k = index[(i, mor @ beta)]
+                    col[k] = col.get(k, Fraction(0)) + coeff
+            coker.offer({k: v for k, v in col.items() if v})
+    return coker
+
+
+def first_noninjective_bruteforce(x, a, b):
+    """The first surjection b -> a whose pullback X(a) -> X(b) has a
+    kernel, walking every surjection and ranking each structure map
+    densely; None when all pullbacks are injective."""
+    from repstab.groups import enumerate_epis
+    from repstab.presentations import structure_map
+    for alpha in enumerate_epis(b, a):
+        mat = structure_map(x, alpha)
+        if dense_rank(mat.entries) < mat.cols:
+            return alpha
+    return None
+
+
+def jointly_surjective_bruteforce(x, a, b):
+    """Whether the images of all pullbacks X(a) -> X(b) span X(b), by a
+    dense rank of every column of every structure map."""
+    from repstab.groups import enumerate_epis
+    from repstab.presentations import evaluate_dim, structure_map
+    cols = []
+    for alpha in enumerate_epis(b, a):
+        mat = structure_map(x, alpha)
+        cols.extend(mat.column(j) for j in range(mat.cols))
+    return dense_rank(cols) == evaluate_dim(x, b)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,15 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    env.pop("REPSTAB_CACHE", None)
+    src = str(Path(repstab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def test_parse_group_spec():
@@ -190,10 +200,7 @@ def test_wqo_check_reports_broken_sections(monkeypatch, capsys):
 def test_no_numpy_and_quiet_module_entry(tmp_path):
     # counting never reaches for numpy, and `python -m repstab.cli` runs
     # without any warning on stderr
-    env = dict(os.environ)
-    src = str(Path(repstab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = _subprocess_env()
     probe = ("import sys, repstab\n"
              "from repstab.groups import group, count_epis\n"
              "for p, m, n in ((2, 5, 4), (3, 4, 3), (5, 3, 2), (5, 3, 3)):\n"
@@ -206,3 +213,74 @@ def test_no_numpy_and_quiet_module_entry(tmp_path):
                           "cache-info", "--cache", str(tmp_path)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0 and run.stderr == ""
+
+
+def _object_files(tmp_path):
+    from repstab.presentations import torsion_example_b
+    from repstab.serialize import presentation_to_json
+    good = presentation_to_json(torsion_example_b())
+    no_gens = {k: v for k, v in good.items() if k != "generators"}
+    extra_col = dict(good, relations=good["relations"] * 2)
+    long_col = dict(good, relations=[c + c for c in good["relations"]])
+    files = {"missing": tmp_path / "missing.json"}
+    for name, blob in (("good", good), ("no-key", no_gens),
+                       ("extra-column", extra_col), ("long-column", long_col)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(blob))
+    files["malformed"] = tmp_path / "malformed.json"
+    files["malformed"].write_text('{"family": ')
+    return files
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed", "no-key",
+                                  "extra-column", "long-column"])
+def test_bad_object_file_is_parse_error(case, tmp_path, capsys):
+    files = _object_files(tmp_path)
+    code, out, _ = run_cli(["eval", "--object", str(files["good"]),
+                            "--group", "C2^2", "--cache", str(tmp_path)],
+                           capsys)
+    assert code == 0 and json.loads(out)["dim"] == 2
+    code, out, err = run_cli(["eval", "--object", str(files[case]),
+                              "--group", "C2^2", "--cache", str(tmp_path)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parse-error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--object", "misc-b", "--group", "C2305843009213693951"],
+    ["decompose-tensor", "--g", "C2", "--h", "C2",
+     "--family", "Zpinf:2305843009213693951"],
+    ["decompose-tensor", "--g", "C2", "--h", "C2",
+     "--family", f"Zpinf:{2 ** 89 - 1}"]])
+def test_large_primes_answer_promptly(argv, tmp_path):
+    # 2^61 - 1 is decided exactly; 2^89 - 1 lies beyond the exact
+    # primality bound and is refused with a typed error
+    run = subprocess.run([sys.executable, "-m", "repstab.cli", *argv,
+                          "--cache", str(tmp_path)], env=_subprocess_env(),
+                         capture_output=True, text=True, timeout=5)
+    assert "Traceback" not in run.stderr
+    if run.returncode == 0:
+        assert json.loads(run.stdout)
+    else:
+        assert run.returncode == 1 and run.stdout == ""
+        assert json.loads(run.stderr)["error"] in ("not-in-family",
+                                                   "scale-exceeded")
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+            if line.startswith("repstab ")]
+
+
+def test_readme_commands_run(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        run = subprocess.run([sys.executable, "-m", "repstab.cli", *argv,
+                              "--cache", str(tmp_path)],
+                             env=_subprocess_env(), capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, (argv, run.stderr)
+        assert run.stdout.strip(), argv

@@ -7,10 +7,12 @@ from repstab.groups import (group, cyclic, trivial_group,
                             make_morphism, identity_morphism, is_surjective,
                             enumerate_epis, iter_epis, count_epis,
                             automorphisms, automorphism_generators,
-                            quotient_exists, lift_epi, hom_candidate_count)
-from repstab.errors import DivisibilityViolation, ShapeMismatch
+                            quotient_exists, lift_epi, hom_candidate_count,
+                            aut_transitive_on_epis, first_epi, _is_prime)
+from repstab.errors import DivisibilityViolation, ShapeMismatch, ScaleExceeded
 from repstab.families import all_abelian
 from repstab.subgroups import image, quotient
+from repstab.presentations import _orbit_structure
 
 from oracles import count_epis_bruteforce, all_matrices, is_onto_bruteforce
 
@@ -138,6 +140,57 @@ def test_closed_form_count_on_small_families():
                     sum(1 for _ in iter_epis(t, g)), (t, g)
                 checked += 1
     assert checked == 975
+
+
+def test_aut_transitive_on_epis_matches_orbits():
+    # the primitive against a union-find over every surjection; homocyclic
+    # sources have one orbit on every Epi(t, h), the others have two or
+    # more on Epi(t, C_p)
+    checked = 0
+    for p, bound in ((2, 32), (3, 27), (5, 25)):
+        members = all_abelian(p).members(bound)
+        for t in members:
+            homocyclic = len(set(t.exponents)) <= 1
+            assert aut_transitive_on_epis(t) == homocyclic, t
+            if not homocyclic:
+                assert len(_orbit_structure(t, cyclic(p, 1))[0]) > 1, t
+                continue
+            for h in members:
+                if quotient_exists(t, h) and count_epis(t, h) <= 5000:
+                    assert len(_orbit_structure(t, h)[0]) == 1, (t, h)
+                    checked += 1
+    assert checked == 66
+    assert not aut_transitive_on_epis(C42)
+    assert len(_orbit_structure(C42, C2)[0]) == 2
+
+
+def test_first_epi_is_first_in_enumeration():
+    checked = 0
+    for p, bound in ((2, 64), (3, 81), (5, 125)):
+        members = all_abelian(p).members(bound)
+        for t in members:
+            for g in members:
+                if hom_candidate_count(t, g) <= 1 << 16:
+                    assert first_epi(t, g) == next(iter_epis(t, g), None)
+                    checked += 1
+    assert checked == 1022
+    # far beyond any enumeration: C2^12 -> C2^6 has 2^72 candidates
+    t, g = group(2, [1] * 12), group(2, [1] * 6)
+    assert is_surjective(first_epi(t, g))
+    assert first_epi(t, g).matrix[0] == (0,) * 11 + (1,)
+
+
+def test_is_prime_exact_and_bounded():
+    sieve = [n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+             for n in range(20000)]
+    assert [_is_prime(n) for n in range(20000)] == sieve
+    # strong pseudoprimes to several of the bases, and large primes
+    assert not _is_prime(3215031751)          # spsp(2, 3, 5, 7)
+    assert not _is_prime(3825123056546413051)  # spsp(2, ..., 23)
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 61 + 1)
+    assert not _is_prime(2 ** 89)
+    with pytest.raises(ScaleExceeded):
+        _is_prime(2 ** 89 - 1)
 
 
 def test_automorphisms_examples():

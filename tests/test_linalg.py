@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +11,7 @@ from repstab.linalg import (QMatrix, FinitePosetDiagram, space,
                             snf_reduce, colimit_of_diagram, coinvariants,
                             StreamCoker)
 
+import repstab
 from oracles import dense_rank
 
 
@@ -120,3 +125,51 @@ def test_stream_coker_matches_snf_reduce():
                       if rows[i][j]})
         assert sc.rank == rank
         assert tuple(sc.surviving()) == proj.indices
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from repstab import linalg, monoidal, subgroups, towers
+from repstab.errors import InvariantViolation
+from repstab.families import all_abelian, elementary
+from repstab.groups import group, cyclic
+from repstab.presentations import free_object
+
+def raises(fn):
+    try:
+        fn()
+    except InvariantViolation:
+        return 1
+    raise SystemExit(f"{fn} passed a broken invariant")
+
+if sys.flags.optimize != 1:
+    raise SystemExit("not running under -O")
+count = raises(lambda: subgroups._integer_inverse([[2]]))
+rref = linalg._rref
+linalg._rref = lambda rows: (rref(rows)[0], [])
+count += raises(lambda: linalg.snf_reduce([[1, 0], [0, 1]]))
+linalg._rref = rref
+vhom = next(v for v in monoidal.enumerate_vhom(
+    cyclic(2, 1), cyclic(2, 2), all_abelian(2)) if not v.spread.is_trivial())
+monoidal.quotient = lambda g, s: (cyclic(2, 5), None)
+count += raises(lambda: monoidal._spread_section(vhom))
+# C4xC2 is no tower group: Epi(C4xC2, C2) has two orbits for one generator
+x = free_object(all_abelian(2), cyclic(2, 1))
+lo = towers._Stage(x, cyclic(2, 1))
+hi = towers._Stage(x, group(2, [2, 1]))
+hi.mode = "transitive"
+tower = towers.tower_for_family(elementary(2))
+count += raises(lambda: towers._connecting(x, tower, 0, lo, hi))
+print(count)
+"""
+
+
+def test_verification_checks_survive_optimize():
+    env = dict(os.environ)
+    src = str(Path(repstab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["4"]

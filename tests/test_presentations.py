@@ -14,10 +14,12 @@ from repstab.presentations import (PresentedObject,
                                    ChiInterval, builtin_to_presentation,
                                    restrict_presentation, direct_sum,
                                    quotient_by_elements, torsion_example_a,
-                                   torsion_example_b, element_class)
+                                   torsion_example_b, element_class,
+                                   _eval_data)
 from repstab.errors import NotInFamily, NotSurjective
+from repstab.cli import parse_object_spec
 
-from oracles import dense_evaluate_dim
+from oracles import dense_evaluate_dim, relation_span_bruteforce
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -53,6 +55,21 @@ def test_evaluation_matches_dense_bruteforce():
     for x in xs:
         for g in Z2.members(16):
             assert evaluate_dim(x, g) == dense_evaluate_dim(x, g), (x, g)
+
+
+@pytest.mark.parametrize("spec,scale,bound", [
+    ("misc-a(2)", 16, 64), ("misc-b", 16, 64), ("misc-a(3)", 16, 81),
+    ("misc-a(5)", 16, 125), ("s(C2)", 8, 16), ("s(C2^2)", 8, 16),
+    ("s(C3)", 9, 27), ("s(C4xC2)", 8, 16), ("c(C4)", 16, 16),
+    ("c(C2^2)", 16, 16), ("c(C9)", 16, 27), ("c(C4xC2)", 16, 16),
+    ("t(1)", 16, 16), ("unit", 16, 16), ("e(C4)", 16, 16)])
+def test_relation_span_matches_bruteforce(spec, scale, bound):
+    # one surjection per relation source closed under Aut(t) gives the
+    # same echelon form as offering every surjection
+    x = parse_object_spec(spec, scale=scale)
+    for t in x.family.members(bound):
+        assert _eval_data(x, t).coker.pivots == \
+            relation_span_bruteforce(x, t).pivots, (spec, t)
 
 
 def test_evaluate_generator_example():

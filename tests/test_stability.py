@@ -18,6 +18,10 @@ from repstab.monoidal import tensor_with_generator
 from repstab.linalg import span_rank
 from repstab.errors import NotAInfinity, FamilyNotExpansive, \
     FamilyUnsupported
+from repstab import stability
+
+from oracles import (first_noninjective_bruteforce,
+                     jointly_surjective_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -157,6 +161,26 @@ def test_stability_scan_misc_a():
     assert rep.thresholds == {"torsion_free_from": 9, "surjective_from": 3}
     assert rep.table["p3-l1"]["dim"] == 2
     assert rep.table["p3-l1.1.1.1"]["dim"] == 1
+
+
+@pytest.mark.parametrize("x,fam", [
+    (torsion_example_a(2), elementary(2)),
+    (torsion_example_a(3), elementary(3)),
+    (torsion_example_a(5), elementary(5)),
+    (torsion_example_b(), elementary(2)),
+    (torsion_example_a(3), cyclic_family(3)),
+    (torsion_example_b(), cyclic_family(2)),
+    (torsion_example_a(2), free_modules(2, 2)),
+    (torsion_example_b(), free_modules(2, 2))])
+def test_stability_scan_matches_exhaustive_oracle(x, fam, monkeypatch):
+    fast = stability_scan(x, fam, 3).to_json_dict()
+    monkeypatch.setattr(stability, "_first_noninjective",
+                        lambda x, a, b, dims, limit=None:
+                        first_noninjective_bruteforce(x, a, b))
+    monkeypatch.setattr(stability, "_jointly_surjective",
+                        lambda x, a, b, dims, limit=None:
+                        jointly_surjective_bruteforce(x, a, b))
+    assert stability_scan(x, fam, 3).to_json_dict() == fast
 
 
 def test_stability_scan_unit_and_generator():
