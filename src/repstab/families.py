@@ -244,15 +244,20 @@ def parse_group_spec(text):
 
 
 def _prime_power_or_raise(order, text, pos):
-    """(p, e) with order = p^e, e >= 1; ParseError otherwise."""
+    """(p, e) with order = p^e, e >= 1; ParseError otherwise.
+
+    The largest e with an exact integer e-th root gives the one base that
+    is not itself a perfect power, so only that base is tested for
+    primality.
+    """
     if order < 2:
         raise ParseError(f"factor order {order} too small in {text!r}", pos)
-    for e in range(1, order.bit_length()):
+    for e in range(order.bit_length() - 1, 0, -1):
         p = _iroot(order, e)
-        if p < 2:
+        if p ** e == order:
+            if _is_prime(p):
+                return p, e
             break
-        if p ** e == order and _is_prime(p):
-            return p, e
     raise ParseError(f"{order} is not a prime power in {text!r}", pos)
 
 

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from .errors import (TowerUnavailable, NotStabilized, NotAInfinity,
                      FamilyUnsupported, FamilyNotExpansive,
-                     FamilyNotSubmultiplicative)
-from .groups import (GroupType, make_morphism, enumerate_epis, iter_epis,
-                     first_epi, count_epis, quotient_exists, delta_rank,
+                     FamilyNotSubmultiplicative, InvariantViolation)
+from .groups import (GroupType, make_morphism, enumerate_epis, first_epi,
+                     count_epis, quotient_exists, delta_rank,
                      aut_transitive_on_epis, automorphism_generators)
 from .linalg import (BasedSpace, QMatrix, FinitePosetDiagram,
                      colimit_of_diagram, StreamCoker, span_rank, _rref)
@@ -402,35 +402,44 @@ def stability_scan(x, restricted_family, max_rank, limit=None):
         tuple((a.key(), b.key(), str(w)) for a, (b, w) in inj_fail.items()))
 
 
+def _scan_pullback(b, a):
+    """The first surjection b -> a; at scan members it decides every pair.
+
+    Scan members are homocyclic, so Aut(b) is transitive on Epi(b, a)
+    (`aut_transitive_on_epis`); the callers have checked that a is a
+    quotient of b.
+    """
+    if not aut_transitive_on_epis(b):
+        raise InvariantViolation(
+            f"{b!r}: Aut(b) is not transitive on its surjections")
+    return first_epi(b, a)
+
+
 def _first_noninjective(x, a, b, dims, limit=None):
     """The first surjection b -> a whose pullback is not injective.
 
     (alpha o sigma)^* = sigma^* o alpha^* with sigma^* invertible, so the
-    rank is constant on Aut(b)-orbits; when Aut(b) is transitive the first
-    surjection (`first_epi`) decides.
+    rank is constant on Aut(b)-orbits, and there is one orbit: the first
+    surjection decides.
     """
     da, db = dims[a], dims[b]
     if da == 0:
         return None
     data_b = _eval_data(x, b, limit)
     labels_a = evaluate(x, a, limit).labels
-    transitive = aut_transitive_on_epis(b) and quotient_exists(b, a)
-    alphas = (first_epi(b, a),) if transitive else iter_epis(b, a)
-    for alpha in alphas:
-        cols = []
-        for (i, u) in labels_a:
-            k = data_b.index[(i, u @ alpha)]
-            cols.append(data_b.coker.project({k: Fraction(1)}))
-        if span_rank(db, cols) < da:
-            return alpha
-    return None
+    alpha = _scan_pullback(b, a)
+    cols = []
+    for (i, u) in labels_a:
+        k = data_b.index[(i, u @ alpha)]
+        cols.append(data_b.coker.project({k: Fraction(1)}))
+    return alpha if span_rank(db, cols) < da else None
 
 
 def _jointly_surjective(x, a, b, dims, limit=None):
     """Whether the images of all pullbacks X(a) -> X(b) span X(b).
 
-    The image of (alpha o sigma)^* is sigma^* of the image of alpha^*, so
-    when Aut(b) is transitive the joint image is the image of one pullback
+    The image of (alpha o sigma)^* is sigma^* of the image of alpha^*, and
+    Aut(b) is transitive, so the joint image is the image of one pullback
     closed under the automorphism generators of b.
     """
     da, db = dims[a], dims[b]
@@ -440,23 +449,20 @@ def _jointly_surjective(x, a, b, dims, limit=None):
         return False
     data_b = _eval_data(x, b, limit)
     labels_a = evaluate(x, a, limit).labels
+    alpha = _scan_pullback(b, a)
     coker = StreamCoker(db)
-    transitive = aut_transitive_on_epis(b) and quotient_exists(b, a)
-    alphas = (first_epi(b, a),) if transitive else iter_epis(b, a)
     raised = []
-    for alpha in alphas:
-        for (i, u) in labels_a:
-            k = data_b.index[(i, u @ alpha)]
-            col = data_b.coker.project({k: Fraction(1)})
-            col = {t: v for t, v in enumerate(col) if v}
-            if coker.offer(col):
-                if coker.rank == db:
-                    return True
-                raised.append(col)
-    if transitive:
-        coker.close_under(raised, [
-            structure_map(x, sigma, limit).apply_sparse
-            for sigma in automorphism_generators(b)])
+    for (i, u) in labels_a:
+        k = data_b.index[(i, u @ alpha)]
+        col = data_b.coker.project({k: Fraction(1)})
+        col = {t: v for t, v in enumerate(col) if v}
+        if coker.offer(col):
+            if coker.rank == db:
+                return True
+            raised.append(col)
+    coker.close_under(raised, [
+        structure_map(x, sigma, limit).apply_sparse
+        for sigma in automorphism_generators(b)])
     return coker.rank == db
 
 

@@ -1,5 +1,4 @@
 import json
-import os
 import shlex
 import subprocess
 import sys
@@ -18,15 +17,6 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def _subprocess_env():
-    env = dict(os.environ)
-    env.pop("REPSTAB_CACHE", None)
-    src = str(Path(repstab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
 
 
 def test_parse_group_spec():
@@ -197,10 +187,10 @@ def test_wqo_check_reports_broken_sections(monkeypatch, capsys):
     assert code == 2 and not blob["ok"] and blob["failures"]
 
 
-def test_no_numpy_and_quiet_module_entry(tmp_path):
+def test_no_numpy_and_quiet_module_entry(tmp_path, subprocess_env):
     # counting never reaches for numpy, and `python -m repstab.cli` runs
     # without any warning on stderr
-    env = _subprocess_env()
+    env = subprocess_env
     probe = ("import sys, repstab\n"
              "from repstab.groups import group, count_epis\n"
              "for p, m, n in ((2, 5, 4), (3, 4, 3), (5, 3, 2), (5, 3, 3)):\n"
@@ -247,25 +237,26 @@ def test_bad_object_file_is_parse_error(case, tmp_path, capsys):
     assert json.loads(err)["error"] == "parse-error"
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--object", "misc-b", "--group", "C2305843009213693951"],
-    ["decompose-tensor", "--g", "C2", "--h", "C2",
-     "--family", "Zpinf:2305843009213693951"],
-    ["decompose-tensor", "--g", "C2", "--h", "C2",
-     "--family", f"Zpinf:{2 ** 89 - 1}"]])
-def test_large_primes_answer_promptly(argv, tmp_path):
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--object", "misc-b", "--group", "C2305843009213693951"],
+     "not-in-family"),
+    (["decompose-tensor", "--g", "C2", "--h", "C2",
+      "--family", "Zpinf:2305843009213693951"], None),
+    (["decompose-tensor", "--g", "C2", "--h", "C2",
+      "--family", f"Zpinf:{2 ** 89 - 1}"], "scale-exceeded")])
+def test_large_primes_answer_promptly(argv, error, tmp_path, subprocess_env):
     # 2^61 - 1 is decided exactly; 2^89 - 1 lies beyond the exact
     # primality bound and is refused with a typed error
     run = subprocess.run([sys.executable, "-m", "repstab.cli", *argv,
-                          "--cache", str(tmp_path)], env=_subprocess_env(),
+                          "--cache", str(tmp_path)], env=subprocess_env,
                          capture_output=True, text=True, timeout=5)
     assert "Traceback" not in run.stderr
-    if run.returncode == 0:
+    if error is None:
+        assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout)
     else:
         assert run.returncode == 1 and run.stdout == ""
-        assert json.loads(run.stderr)["error"] in ("not-in-family",
-                                                   "scale-exceeded")
+        assert json.loads(run.stderr)["error"] == error
 
 
 def _readme_commands():
@@ -274,13 +265,13 @@ def _readme_commands():
             if line.startswith("repstab ")]
 
 
-def test_readme_commands_run(tmp_path):
+def test_readme_commands_run(tmp_path, subprocess_env):
     commands = _readme_commands()
     assert len(commands) == 11
     for argv in commands:
         run = subprocess.run([sys.executable, "-m", "repstab.cli", *argv,
                               "--cache", str(tmp_path)],
-                             env=_subprocess_env(), capture_output=True,
+                             env=subprocess_env, capture_output=True,
                              text=True, timeout=60)
         assert run.returncode == 0, (argv, run.stderr)
         assert run.stdout.strip(), argv

@@ -3,7 +3,8 @@ import pytest
 from repstab.groups import group, cyclic, trivial_group
 from repstab.families import (Family, all_abelian, exponent_bounded,
                               cyclic_family, free_modules, elementary,
-                              truncated, family_contains, parse_family_spec)
+                              truncated, family_contains, parse_family_spec,
+                              parse_group_spec)
 from repstab.errors import ParseError
 
 
@@ -63,6 +64,14 @@ def test_parse_specs():
         parse_family_spec("F6")
     with pytest.raises(ParseError):
         parse_family_spec("weird")
+
+
+def test_large_prime_power_factor_parses():
+    # the base 1000003 has no small factor; only it is tested for primality
+    assert parse_group_spec(f"C{1000003 ** 5}") == group(1000003, [5])
+    assert parse_family_spec(f"F{1000003 ** 5}").key() == "Fpn:1000003,5"
+    with pytest.raises(ParseError):
+        parse_group_spec(f"C{1000003 ** 2 * 1000033}")
 
 
 @pytest.mark.parametrize("spec", ["F0", "F1", "Z0", "Z1"])
