@@ -39,16 +39,21 @@ def parse_object_spec(text, family=None, scale=16):
         except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"object file {t!r} is not JSON: {exc}") from exc
         return serialize.presentation_from_json(blob)
-    name, _, arg = t.partition("(")
-    arg = arg.rstrip(")")
+    name, paren, arg = t.partition("(")
+    if paren:
+        if not arg.endswith(")"):
+            raise ParseError(f"unclosed parenthesis in object spec {text!r}")
+        arg = arg[:-1]
     if name == "misc-a":
-        p = int(arg) if arg else 3
-        return torsion_example_a(p, family)
-    if name == "misc-b":
+        try:
+            return torsion_example_a(int(arg) if arg else 3, family)
+        except ValueError as exc:
+            raise ParseError(f"misc-a needs a prime, got {text!r}") from exc
+    if name == "misc-b" and not paren:
         return torsion_example_b(family)
-    if name == "unit":
+    if name == "unit" and not paren:
         return unit_object(family or all_abelian(2))
-    if name in ("e", "s", "c", "t"):
+    if name in ("e", "s", "c", "t") and paren:
         g = parse_group_spec(arg) if arg not in ("", "1") else trivial_group()
         fam = family or (cyclic_family(g.p if not g.is_trivial() else 2)
                          if name == "t" else

@@ -14,6 +14,12 @@ from .groups import GroupType, _is_prime, trivial_group
 
 KINDS = ("Zpinf", "Zpn", "Cpinf", "Cpn", "Fpn", "Ep", "TruncatedLeq")
 
+# Largest exponent sum (log_p of the order) a group spec may describe.  A
+# spec like C2^<huge> would otherwise build its exponent list, and every
+# later p ** order, before any scale guard could refuse it; no computation
+# here reaches orders near p^4096.
+_MAX_SPEC_LOG_ORDER = 4096
+
 
 @dataclass(frozen=True)
 class Family:
@@ -28,8 +34,9 @@ class Family:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if self.kind in ("Zpn", "Cpn", "Fpn") and not self.n:
-            raise ValueError(f"{self.kind} needs the exponent parameter n")
+        if self.kind in ("Zpn", "Cpn", "Fpn") and (self.n is None
+                                                   or self.n < 1):
+            raise ValueError(f"{self.kind} needs an exponent parameter n >= 1")
         if self.kind == "TruncatedLeq" and (self.base is None or not self.bound):
             raise ValueError("TruncatedLeq needs base family and order bound")
 
@@ -236,6 +243,7 @@ def parse_group_spec(text):
         elif prime != p:
             raise ParseError(
                 f"mixed primes {prime} and {p} in {text!r}", pos)
+        _check_log_order(sum(exps) + e * mult, text, pos)
         exps.extend([e] * mult)
         pos += len(factor) + 1
     if prime is None:
@@ -280,6 +288,14 @@ def _parse_long_form(t):
             raise ValueError
         inner = lam[1:-1].strip()
         exps = tuple(int(v) for v in inner.split(",")) if inner else ()
-        return GroupType(p, tuple(sorted(exps, reverse=True)))
+        g = GroupType(p, tuple(sorted(exps, reverse=True)))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad long-form group spec {t!r}") from exc
+    _check_log_order(sum(g.exponents), t, 0)
+    return g
+
+
+def _check_log_order(total, text, pos):
+    if total > _MAX_SPEC_LOG_ORDER:
+        raise ParseError(f"exponent sum {total} exceeds "
+                         f"{_MAX_SPEC_LOG_ORDER} in {text!r}", pos)

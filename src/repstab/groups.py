@@ -20,7 +20,9 @@ from itertools import product
 import math
 
 from . import config
-from .errors import DivisibilityViolation, ScaleExceeded, ShapeMismatch
+from .errors import (DivisibilityViolation, NotSurjective, ScaleExceeded,
+                     ShapeMismatch)
+from .intmat import solve_integer
 
 
 @dataclass(frozen=True)
@@ -474,9 +476,6 @@ def lift_epi(alpha, beta):
     rank(A) >= rank(B), returns gamma: A -> B with beta o gamma = alpha and
     gamma surjective.
     """
-    from .errors import NotSurjective
-    from .intmat import solve_integer
-
     a_t, b_t, c_t = alpha.source, beta.source, alpha.target
     if alpha.target != beta.target:
         raise ShapeMismatch("cospan legs must share a target")
@@ -491,18 +490,7 @@ def lift_epi(alpha, beta):
     if b_t.exponent_log > n_exp:
         raise ShapeMismatch("target exponent must divide the source exponent")
     nn, mm, ll = a_t.rank, b_t.rank, c_t.rank
-
-    def preimage(f, c_elt):
-        # x with f(x) = c_elt, via an integer solve against the relations
-        mat = [list(f.matrix[i]) + [p ** c_t.exponents[i] if k == i else 0
-                                    for k in range(ll)]
-               for i in range(ll)]
-        sol = solve_integer(mat, list(c_elt))
-        return tuple(sol[:f.source.rank])
-
-    c_gens = [tuple(1 if i == k else 0 for i in range(ll)) for k in range(ll)]
-    b_vecs = [list(preimage(beta, cg)) for cg in c_gens]
-    b_vecs = _complete_mod_p(b_vecs, b_t, p)
+    b_vecs = _complete_mod_p(section(beta), b_t, p)
     # make the completed vectors map to 0 under beta
     for idx in range(ll, mm):
         img = beta(tuple(v % m for v, m in zip(b_vecs[idx], b_t.moduli())))
@@ -510,8 +498,7 @@ def lift_epi(alpha, beta):
             if img[i]:
                 for j in range(mm):
                     b_vecs[idx][j] -= img[i] * b_vecs[i][j]
-    a_vecs = [list(preimage(alpha, cg)) for cg in c_gens]
-    a_vecs = _complete_mod_p(a_vecs, a_t, p)
+    a_vecs = _complete_mod_p(section(alpha), a_t, p)
     for idx in range(ll, nn):
         img = alpha(tuple(v % m for v, m in zip(a_vecs[idx], a_t.moduli())))
         for i in range(ll):
@@ -529,6 +516,49 @@ def lift_epi(alpha, beta):
         rows.append(row)
     gamma = make_morphism(a_t, b_t, rows)
     return gamma
+
+
+def section(f):
+    """Integer preimages of the standard generators of f.target.
+
+    Entry k solves f(x) = e_k over the integers against the relations
+    p^mu_i of the target, so f(x mod f.source.moduli()) = e_k; the
+    entries are not reduced.  `f` must be surjective.
+    """
+    mods = f.target.moduli()
+    ll = f.target.rank
+    mat = [list(f.matrix[i]) + [mods[i] if k == i else 0 for k in range(ll)]
+           for i in range(ll)]
+    out = []
+    for k in range(ll):
+        sol = solve_integer(mat, [1 if i == k else 0 for i in range(ll)])
+        if sol is None:
+            raise NotSurjective(f"{f!r} misses generator {k} of its target")
+        out.append(sol[:f.source.rank])
+    return out
+
+
+def orbit_roots(n, pairs):
+    """Union-find over points 0..n-1: merge each pair (a, b) in the order
+    given, attaching the root of a below the root of b; returns the root
+    of every point.
+
+    The roots depend only on the merge order, so callers that feed their
+    pairs in a fixed order get fixed orbit representatives.
+    """
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(i) for i in range(n)]
 
 
 def _complete_mod_p(vecs, gtype, p):

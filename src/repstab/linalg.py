@@ -97,11 +97,6 @@ class QMatrix:
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def transpose(self):
-        return QMatrix(self.cols, self.rows,
-                       tuple(zip(*self.entries)) if self.entries else
-                       tuple(() for _ in range(self.cols)))
-
     def rank(self):
         return len(_rref([list(r) for r in self.entries])[1])
 
@@ -140,6 +135,25 @@ def _rref(rows):
     return mat, pivots
 
 
+def rref_kernel(mat):
+    """Kernel basis of a QMatrix in free-variable normal form.
+
+    Returns (kernel, free): `free` lists the non-pivot columns, and kernel
+    vector j is the unique one that is 1 at free[j] and 0 at the other
+    free columns.
+    """
+    rref_rows, pivots = _rref([list(r) for r in mat.entries])
+    free = [j for j in range(mat.cols) if j not in pivots]
+    kernel = []
+    for fj in free:
+        vec = [Fraction(0)] * mat.cols
+        vec[fj] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            vec[pj] = -rref_rows[i][fj]
+        kernel.append(tuple(vec))
+    return kernel, free
+
+
 class StreamCoker:
     """Incremental column echelon with bottom-most pivots.
 
@@ -154,18 +168,7 @@ class StreamCoker:
 
     def offer(self, col):
         """Insert a column; returns True if it increased the rank."""
-        c = dict(col)
-        for r in [r for r in c if r in self.pivots]:
-            f = c.pop(r)
-            if f:
-                for rr, v in self.pivots[r].items():
-                    if rr != r:
-                        nv = c.get(rr, Fraction(0)) - f * v
-                        if nv:
-                            c[rr] = nv
-                        else:
-                            c.pop(rr, None)
-        c = {r: v for r, v in c.items() if v}
+        c = self.reduce(col)
         if not c:
             return False
         prow = max(c)
@@ -254,18 +257,8 @@ def snf_reduce(m):
     if not isinstance(m, QMatrix):
         m = QMatrix.from_rows(m)
     coker = StreamCoker(m.rows)
-    kept = []  # (column index, expression of inserted pivot over originals)
-    # kernel via rref of the matrix itself (columns are the variables)
-    rref_rows, pivots = _rref([list(r) for r in m.entries])
-    rank = len(pivots)
-    free = [j for j in range(m.cols) if j not in pivots]
-    kernel = []
-    for fj in free:
-        vec = [Fraction(0)] * m.cols
-        vec[fj] = Fraction(1)
-        for i, pj in enumerate(pivots):
-            vec[pj] = -rref_rows[i][fj]
-        kernel.append(tuple(vec))
+    kernel, free = rref_kernel(m)
+    rank = m.cols - len(free)
     for j in range(m.cols):
         coker.offer({i: m.entries[i][j] for i in range(m.rows)
                      if m.entries[i][j]})
@@ -348,18 +341,7 @@ def colimit_of_diagram(diagram, validate=False):
 
 def coinvariants(v, action):
     """Quotient of `v` by the span of (g - id) over the given generators."""
-    coker = StreamCoker(v.dim)
-    for mat in action:
-        for j in range(v.dim):
-            col = {}
-            for i in range(v.dim):
-                val = mat.entries[i][j] - (1 if i == j else 0)
-                if val:
-                    col[i] = Fraction(val)
-            if col:
-                coker.offer(col)
-    surv = coker.surviving()
-    return BasedSpace(len(surv), tuple(v.labels[r] for r in surv))
+    return coinvariants_data(v, action)[0]
 
 
 def coinvariants_data(v, action):

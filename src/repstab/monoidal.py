@@ -16,7 +16,7 @@ from . import config
 from .errors import FamilyNotGlobalMultiplicative, NotSurjective, \
     ShapeMismatch, InvariantViolation
 from .groups import (GroupType, Morphism, make_morphism, enumerate_epis,
-                     count_epis, automorphisms, quotient_exists)
+                     count_epis, automorphisms, quotient_exists, section)
 from .subgroups import (Subgroup, subgroup_from_lattice_rows,
                         subgroup_from_generators, enumerate_subgroups,
                         kernel, quotient, trivial_subgroup, full_subgroup)
@@ -410,13 +410,6 @@ class LMNReport:
     failures: tuple
 
 
-def _epis_from_subgroup(w, h):
-    """Surjections from a subgroup (as abstract type) onto h, paired with
-    the evaluation on ambient elements via abstract coordinates."""
-    atype = w.isomorphism_type
-    return atype, enumerate_epis(atype, h)
-
-
 def _sigma_level_counts_m(t, g, h, family):
     levels = {}
     for v in _vhom_list(g, h, family):
@@ -659,20 +652,9 @@ def _spread_section(vhom):
             f"spread {qt!r} disagrees with A/A' = {qt2!r}")
     # section: for each spread generator pick an abstract preimage, then
     # map through the embedding of A
-    from .intmat import solve_integer
-    sec = []
-    mods = qt.moduli()
-    for k in range(qt.rank):
-        target = [1 if i == k else 0 for i in range(qt.rank)]
-        mat = [list(proj.matrix[i]) + [mods[i] if j == i else 0
-                                       for j in range(qt.rank)]
-               for i in range(qt.rank)]
-        sol = solve_integer(mat, target)
-        acoords = sol[:atype.rank]
-        amb = [sum(emb[i][c] * acoords[c] for c in range(atype.rank))
-               for i in range(a.ambient.rank)]
-        sec.append(amb)
-    return sec
+    return [[sum(emb[i][c] * acoords[c] for c in range(atype.rank))
+             for i in range(a.ambient.rank)]
+            for acoords in section(proj)]
 
 
 def sigma_pullback_check(phi, g, h, family, limit=None):

@@ -18,8 +18,9 @@ from .errors import NotInFamily, NotSurjective
 from .groups import (GroupType, make_morphism, identity_morphism,
                      enumerate_epis, first_epi, count_epis, is_surjective,
                      quotient_exists, trivial_group, cyclic,
-                     aut_transitive_on_epis, automorphism_generators)
-from .linalg import BasedSpace, QMatrix, StreamCoker
+                     aut_transitive_on_epis, automorphism_generators,
+                     orbit_roots)
+from .linalg import BasedSpace, QMatrix, StreamCoker, rref_kernel
 from .subgroups import enumerate_subgroups, quotient
 from .families import Family
 
@@ -388,16 +389,7 @@ def kernel_functor(fun, gens, bound):
         if got is not None:
             return got
         labels, mat = _counit_matrix(fun, gens, t)
-        from .linalg import _rref
-        rref_rows, pivots = _rref([list(r) for r in mat.entries])
-        free = [j for j in range(mat.cols) if j not in pivots]
-        kern = []
-        for fj in free:
-            vec = [Fraction(0)] * mat.cols
-            vec[fj] = Fraction(1)
-            for i, pj in enumerate(pivots):
-                vec[pj] = -rref_rows[i][fj]
-            kern.append(tuple(vec))
+        kern, free = rref_kernel(mat)
         basis_cache[t] = (labels, tuple(kern), tuple(free))
         return basis_cache[t]
 
@@ -525,11 +517,6 @@ def _aut_orbit_count(g, t):
     return len(_orbit_reps(g, t))
 
 
-def coinduced_dims(g, family, bound):
-    """Dimension table of the coinduced object at g with trivial weights."""
-    return {t: _aut_orbit_count(g, t) for t in family.members(bound)}
-
-
 def builtin_to_presentation(b, scale, limit=None):
     """Presentation agreeing with the builtin on all orders <= scale."""
     config.check_order(scale, limit, what="builtin presentation")
@@ -611,28 +598,16 @@ def _orbit_structure(g, t):
     epis = enumerate_epis(g, t)
     index = {f.matrix: i for i, f in enumerate(epis)}
     gens = automorphism_generators(g)
-    parent = list(range(len(epis)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, f in enumerate(epis):
-        for psi in gens:
-            j = index[(f @ psi).matrix]
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[ra] = rb
+    found = orbit_roots(len(epis), ((i, index[(f @ psi).matrix])
+                                    for i, f in enumerate(epis)
+                                    for psi in gens))
     roots = {}
     reps = []
-    for i, f in enumerate(epis):
-        r = find(i)
+    for r in found:
         if r not in roots:
             roots[r] = len(reps)
             reps.append(epis[r])
-    lookup = {f.matrix: roots[find(i)] for i, f in enumerate(epis)}
+    lookup = {f.matrix: roots[r] for f, r in zip(epis, found)}
     return tuple(reps), lookup
 
 

@@ -13,15 +13,15 @@ from .errors import (TowerUnavailable, NotStabilized, NotAInfinity,
                      FamilyNotSubmultiplicative, InvariantViolation)
 from .groups import (GroupType, make_morphism, enumerate_epis, first_epi,
                      count_epis, quotient_exists, delta_rank,
-                     aut_transitive_on_epis, automorphism_generators)
+                     aut_transitive_on_epis, automorphism_generators,
+                     orbit_roots, section)
 from .linalg import (BasedSpace, QMatrix, FinitePosetDiagram,
-                     colimit_of_diagram, StreamCoker, span_rank, _rref)
+                     colimit_of_diagram, StreamCoker, span_rank, rref_kernel)
 from .subgroups import quotient, normal_quotient_poset, q_leq_n
 from .presentations import (evaluate, evaluate_dim, structure_map,
                             _eval_data, restrict_presentation,
                             _orbit_structure)
 from .towers import colimit_tower_stages, _STAGE_ORDER_LIMIT
-from .intmat import solve_integer
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +76,8 @@ def _quotient_connecting(g, poset, i, j):
     qi, pi_i = quotient(g, poset.elements[i])
     qj, pi_j = quotient(g, poset.elements[j])
     # q o pi_i = pi_j; read q off preimages of the generators of qi
-    cols = []
-    mods = qi.moduli()
-    r = g.rank
-    for k in range(qi.rank):
-        target = [1 if t == k else 0 for t in range(qi.rank)]
-        mat = [list(pi_i.matrix[t]) + [mods[t] if s == t else 0
-                                       for s in range(qi.rank)]
-               for t in range(qi.rank)]
-        sol = solve_integer(mat, target)
-        x = sol[:r]
-        cols.append(pi_j(tuple(v % m for v, m in zip(x, g.moduli()))))
+    cols = [pi_j(tuple(v % m for v, m in zip(x, g.moduli())))
+            for x in section(pi_i)]
     rows = [[cols[k][t] for k in range(qi.rank)] for t in range(qj.rank)]
     return make_morphism(qi, qj, rows)
 
@@ -184,20 +175,6 @@ def canonical_tower_epi(tower, stage, g):
     return make_morphism(src, g, rows)
 
 
-def _kernel_vectors(mat):
-    """Kernel basis of a QMatrix as coordinate tuples."""
-    rref_rows, pivots = _rref([list(r) for r in mat.entries])
-    free = [j for j in range(mat.cols) if j not in pivots]
-    out = []
-    for fj in free:
-        vec = [Fraction(0)] * mat.cols
-        vec[fj] = Fraction(1)
-        for i, pj in enumerate(pivots):
-            vec[pj] = -rref_rows[i][fj]
-        out.append(tuple(vec))
-    return out
-
-
 def torsion_subspace(x, g, tower, max_stage=6, limit=None):
     """Vectors of X(g) killed by pullback to deep tower stages.
 
@@ -215,7 +192,7 @@ def torsion_subspace(x, g, tower, max_stage=6, limit=None):
             raise TowerUnavailable(
                 f"tower stage {alpha.source!r} escapes the family")
         mat = structure_map(x, alpha, limit or _STAGE_ORDER_LIMIT)
-        stages.append(_kernel_vectors(mat))
+        stages.append(rref_kernel(mat)[0])
     if not stages:
         return BasedSpace(0, ()), False
     basis = stages[-1]
@@ -606,22 +583,10 @@ def _two_point_orbit_index(g, h):
     epis = enumerate_epis(g, h)
     index = {f.matrix: i for i, f in enumerate(epis)}
     n = len(epis)
-    parent = list(range(n * n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, fa in enumerate(epis):
-        for j, fb in enumerate(epis):
-            pos = i * n + j
-            for psi in automorphism_generators(g):
-                qa = index[(fa @ psi).matrix]
-                qb = index[(fb @ psi).matrix]
-                ra, rb = find(pos), find(qa * n + qb)
-                if ra != rb:
-                    parent[ra] = rb
-    return {(fa.matrix, fb.matrix): find(i * n + j)
+    gens = automorphism_generators(g)
+    moved = [[index[(f @ psi).matrix] for psi in gens] for f in epis]
+    roots = orbit_roots(n * n, ((i * n + j, moved[i][k] * n + moved[j][k])
+                                for i in range(n) for j in range(n)
+                                for k in range(len(gens))))
+    return {(fa.matrix, fb.matrix): roots[i * n + j]
             for i, fa in enumerate(epis) for j, fb in enumerate(epis)}

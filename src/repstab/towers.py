@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import TowerUnavailable, InvariantViolation
 from .groups import (GroupType, make_morphism, automorphism_generators,
                      aut_transitive_on_epis, hom_candidate_count,
-                     quotient_exists)
+                     orbit_roots, quotient_exists)
 from .linalg import QMatrix, coinvariants_data
 from .presentations import evaluate, structure_map, _eval_data
 
@@ -92,24 +92,13 @@ class _Stage:
         data = _eval_data(x, g, _STAGE_ORDER_LIMIT)
         labels = data.space.labels
         index = {lab: i for i, lab in enumerate(labels)}
-        parent = list(range(len(labels)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for psi in automorphism_generators(g):
-            for pos, (i, u) in enumerate(labels):
-                j = index[(i, u @ psi)]
-                ra, rb = find(pos), find(j)
-                if ra != rb:
-                    parent[ra] = rb
+        found = orbit_roots(len(labels), (
+            (pos, index[(i, u @ psi)])
+            for psi in automorphism_generators(g)
+            for pos, (i, u) in enumerate(labels)))
         roots = {}
         orbit_of = []
-        for pos in range(len(labels)):
-            r = find(pos)
+        for r in found:
             if r not in roots:
                 roots[r] = len(roots)
             orbit_of.append(roots[r])

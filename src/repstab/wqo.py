@@ -344,15 +344,31 @@ def _generates(g, elements):
     return _rank_mod_p(elements, g.p) == g.rank
 
 
+def _ordered_subset_count(n, cap):
+    """sum_{k=1..n} n!/(n-k)!, the number of nonempty ordered subsets of n
+    points; the summing stops at the first partial sum above `cap`, so a
+    refusal costs a handful of terms however large n is."""
+    total, term = 0, 1
+    for k in range(n):
+        term *= n - k
+        total += term
+        if total > cap:
+            break
+    return total
+
+
 def tautological_framings(a, omega=None, limit=None):
     """All framings by ordered generating subsets with their own orders.
 
     The label of a position is the exponent of its element, so the data
     is determined by the ordered subset; this is the finite weakly initial
     family that every framing factors through.  `omega` restricts the
-    allowed label values.
+    allowed label values.  The candidates are the nonempty ordered subsets
+    of the elements, and their count is guarded, not the group order.
     """
-    config.check_order(a.order, limit, what="tautological framings")
+    bound = config.MAX_EPI_CANDIDATES if limit is None else limit
+    config.check_candidates(_ordered_subset_count(a.order, bound), limit,
+                            what="tautological framings")
     elements = a.elements()
     out = []
     for subset_order in range(1, len(elements) + 1):

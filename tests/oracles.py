@@ -213,3 +213,30 @@ def jointly_surjective_bruteforce(x, a, b):
         mat = structure_map(x, alpha)
         cols.extend(mat.column(j) for j in range(mat.cols))
     return dense_rank(cols) == evaluate_dim(x, b)
+
+
+def compose_bruteforce(a, b, mods):
+    """The matrix of a o b (b applied first), rows reduced by `mods`, the
+    moduli of the target of a."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % m
+                       for j in range(len(b[0]) if b else 0))
+                 for i, m in enumerate(mods))
+
+
+def orbits_bruteforce(g, points, act):
+    """Orbits of the full automorphism group of g on `points`.
+
+    The orbit of a point is its image under every element of
+    `automorphisms(g)`, so no generating set and no union-find is
+    involved; act(point, matrix) is the action.  Returns the partition as
+    a set of frozensets.
+    """
+    from repstab.groups import automorphisms
+    auts = [a.matrix for a in automorphisms(g)]
+    seen, orbits = set(), set()
+    for x in points:
+        if x not in seen:
+            orbit = frozenset(act(x, a) for a in auts)
+            seen |= orbit
+            orbits.add(orbit)
+    return orbits

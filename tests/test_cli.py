@@ -2,9 +2,11 @@ import json
 import shlex
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import repstab
 
@@ -45,6 +47,44 @@ def test_object_fixtures():
     assert e.generators == (cyclic(2, 2),)
     t = parse_object_spec("t(1)")
     assert t.family.kind == "Cpinf"
+
+
+_FIXTURE_NAMES = ("misc-a", "misc-b", "unit", "e", "s", "c", "t")
+
+
+def _is_small_prime(text):
+    n = int(text)
+    return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+# fixture names with arguments outside their grammar: misc-a takes a
+# prime, misc-b and unit take none, e/s/c/t take a group spec in parens
+bad_fixture_args = st.one_of(
+    st.text(alphabet="0146-ax ", min_size=1, max_size=4).filter(
+        lambda a: not (a.strip().isdigit() and _is_small_prime(a)))
+    .map(lambda a: f"misc-a({a})"),
+    st.tuples(st.sampled_from(["misc-b", "unit"]),
+              st.text(alphabet="()C2", min_size=1, max_size=4))
+    .map("(".join),
+    st.tuples(st.sampled_from("esct"),
+              st.text(alphabet="abqxyz-^", min_size=1, max_size=5))
+    .map(lambda na: f"{na[0]}({na[1]})"),
+    st.sampled_from(["misc-a(3", "e(C2", "t(1", "s(C2))", "e", "t"]))
+
+
+@given(st.text(alphabet="misc-abunetx()C2^013;=p[]", max_size=16))
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+def test_object_spec_names_outside_grammar_raise(text):
+    assume(text.strip().partition("(")[0] not in _FIXTURE_NAMES)
+    with pytest.raises(ParseError):
+        parse_object_spec(text)
+
+
+@given(bad_fixture_args)
+@settings(max_examples=200, deadline=timedelta(seconds=2))
+def test_object_spec_bad_fixture_arguments_raise(text):
+    with pytest.raises(ParseError):
+        parse_object_spec(text)
 
 
 def test_decompose_tensor_command(tmp_path, capsys):

@@ -1,11 +1,14 @@
+from datetime import timedelta
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repstab.groups import group, cyclic, trivial_group
 from repstab.families import (Family, all_abelian, exponent_bounded,
                               cyclic_family, free_modules, elementary,
                               truncated, family_contains, parse_family_spec,
                               parse_group_spec)
-from repstab.errors import ParseError
+from repstab.errors import ParseError, ScaleExceeded
 
 
 def test_membership():
@@ -81,7 +84,8 @@ def test_degenerate_prime_power_shorthands_raise(spec):
 
 
 @pytest.mark.parametrize("spec", ["Zpinf:4", "E4", "E1", "Ep:6", "Cpn:9,2",
-                                  "Zpn:2,0"])
+                                  "Zpn:2,0", "Zpn:2,-1", "Cpn:3,-2",
+                                  "Fpn:2,-1"])
 def test_bad_family_parameters_raise(spec):
     with pytest.raises(ParseError):
         parse_family_spec(spec)
@@ -92,3 +96,49 @@ def test_family_requires_prime():
         Family("Zpinf", 4)
     with pytest.raises(ValueError):
         elementary(1)
+
+
+def test_huge_multiplicities_raise_at_once():
+    # the exponent list and p ** order would be built before any guard
+    for spec in ("C2^99999999999", "C4^2049", "p=2;lambda=[99999999999]",
+                 "p=3;lambda=[4000,97]"):
+        with pytest.raises(ParseError):
+            parse_group_spec(spec)
+    assert parse_group_spec("C2^4096").order == 2 ** 4096
+
+
+# tokens of the group and family grammars, plus raw characters from them
+_SPEC_TOKENS = ("C", "x", "^", "p=", ";", "lambda=", "[", "]", ",", " ",
+                ":", "-", "0", "1", "2", "3", "4", "8", "9", "27", "6",
+                "99999999999", "Z", "F", "E", "inf", "Zpinf", "Zpn",
+                "Cpinf", "Cpn", "Fpn", "Ep", "Z2inf", "Z3inf")
+_small = st.integers(-3, 9)
+_numbers = st.one_of(_small, st.integers(-3, 10 ** 12))
+spec_texts = st.one_of(
+    st.lists(st.sampled_from(_SPEC_TOKENS), max_size=10).map("".join),
+    st.text(alphabet="Cxp=;lambd[],0123456789^-: ZFEinf", max_size=24),
+    # the grammars themselves with numbers far outside their ranges
+    st.builds("C{}^{}xC{}".format, _numbers, _numbers, _numbers),
+    st.builds(lambda p, lam: f"p={p};lambda=[{','.join(map(str, lam))}]",
+              _numbers, st.lists(_numbers, max_size=4)),
+    st.builds("{}:{},{}".format, st.sampled_from(
+        ["Zpinf", "Zpn", "Cpinf", "Cpn", "Fpn", "Ep"]), _numbers, _numbers),
+    st.builds("{}:{},{}".format, st.sampled_from(["Zpn", "Cpn", "Fpn"]),
+              st.sampled_from([2, 3, 5]), _small),
+    st.builds("{}{}".format, st.sampled_from("FZE"), _numbers))
+
+
+@given(spec_texts)
+@settings(max_examples=500, deadline=timedelta(seconds=2))
+def test_spec_parsers_return_or_raise_parse_error(text):
+    for parse in (parse_group_spec, parse_family_spec):
+        try:
+            got = parse(text)
+        except ParseError:
+            continue
+        except ScaleExceeded as exc:
+            # primes above the exact Miller-Rabin range are refused
+            assert "primality" in str(exc)
+            continue
+        if parse is parse_family_spec:
+            assert got.n is None or got.n >= 1, got

@@ -8,13 +8,17 @@ from repstab.groups import (group, cyclic, trivial_group,
                             enumerate_epis, iter_epis, count_epis,
                             automorphisms, automorphism_generators,
                             quotient_exists, lift_epi, hom_candidate_count,
-                            aut_transitive_on_epis, first_epi, _is_prime)
+                            aut_transitive_on_epis, first_epi, _is_prime,
+                            section)
 from repstab.errors import DivisibilityViolation, ShapeMismatch, ScaleExceeded
 from repstab.families import all_abelian
 from repstab.subgroups import image, quotient
-from repstab.presentations import _orbit_structure
+from repstab.presentations import _orbit_structure, free_object
+from repstab.stability import _two_point_orbit_index
+from repstab.towers import _Stage
 
-from oracles import count_epis_bruteforce, all_matrices, is_onto_bruteforce
+from oracles import (count_epis_bruteforce, all_matrices, is_onto_bruteforce,
+                     compose_bruteforce, orbits_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -266,3 +270,90 @@ def test_quotient_exists_iff_epis_exist(a, b):
     g = group(2, [1] * b) if b else trivial_group(2)
     has = count_epis(t, g) > 0
     assert has == quotient_exists(t, g)
+
+
+# Z2inf<=16 and Z3inf<=27 (E2 up to rank 3 lies inside the first)
+ORBIT_FAMILIES = ((2, 16), (3, 27))
+
+
+def _orbit_pairs(max_epis=5000):
+    """(g, t) with t nontrivial and 0 < |Epi(g, t)| <= max_epis; the bound
+    leaves out only C2^4 -> C2^4 and C3^3 -> C3^3."""
+    for p, bound in ORBIT_FAMILIES:
+        members = all_abelian(p).members(bound)
+        for g in members:
+            for t in members:
+                if not t.is_trivial() and 0 < count_epis(g, t) <= max_epis:
+                    yield g, t
+
+
+def _partition(keys, roots):
+    parts = {}
+    for key, root in zip(keys, roots):
+        parts.setdefault(root, set()).add(key)
+    return {frozenset(part) for part in parts.values()}
+
+
+def test_section_is_a_section():
+    checked = 0
+    for g, t in _orbit_pairs():
+        mods = g.moduli()
+        for f in enumerate_epis(g, t):
+            sec = section(f)
+            assert len(sec) == t.rank
+            for k, x in enumerate(sec):
+                e_k = tuple(1 if i == k else 0 for i in range(t.rank))
+                assert f(tuple(v % m for v, m in zip(x, mods))) == e_k, f
+            checked += 1
+    assert checked == 4593
+
+
+def test_orbit_structure_matches_full_automorphisms():
+    checked = 0
+    for g, t in _orbit_pairs():
+        reps, lookup = _orbit_structure(g, t)
+        mats = [f.matrix for f in enumerate_epis(g, t)]
+        mods = t.moduli()
+        want = orbits_bruteforce(
+            g, mats, lambda f, a: compose_bruteforce(f, a, mods))
+        assert _partition(mats, [lookup[m] for m in mats]) == want, (g, t)
+        # every representative lies in the orbit it labels
+        assert [lookup[r.matrix] for r in reps] == list(range(len(reps)))
+        checked += 1
+    assert checked == 53
+
+
+def test_two_point_orbit_index_matches_full_automorphisms():
+    checked = 0
+    for g, h in _orbit_pairs(max_epis=64):
+        mats = [f.matrix for f in enumerate_epis(g, h)]
+        mods = h.moduli()
+        pairs = [(a, b) for a in mats for b in mats]
+        index = _two_point_orbit_index(g, h)
+        want = orbits_bruteforce(
+            g, pairs, lambda ab, s: (compose_bruteforce(ab[0], s, mods),
+                                     compose_bruteforce(ab[1], s, mods)))
+        assert _partition(pairs, [index[ab] for ab in pairs]) == want, (g, h)
+        checked += 1
+    assert checked == 45
+
+
+def test_perm_stage_orbits_match_full_automorphisms():
+    checked = 0
+    for p, bound in ORBIT_FAMILIES:
+        fam = all_abelian(p)
+        members = fam.members(bound)
+        gens = [cyclic(p, 1), group(p, [1, 1])]
+        x = free_object(fam, *gens)
+        for g in members:
+            stage = _Stage(x, g)
+            if stage.mode != "perm":
+                continue
+            keys = [(i, u.matrix) for i, u in stage.labels]
+            want = orbits_bruteforce(
+                g, keys, lambda iu, a: (iu[0], compose_bruteforce(
+                    iu[1], a, gens[iu[0]].moduli())))
+            assert _partition(keys, stage.orbit_of) == want, g
+            assert stage.dim == len(want)
+            checked += 1
+    assert checked == 19

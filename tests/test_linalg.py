@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repstab.linalg import (QMatrix, FinitePosetDiagram, space,
                             snf_reduce, colimit_of_diagram, coinvariants,
-                            StreamCoker)
+                            StreamCoker, rref_kernel)
 
 from oracles import dense_rank
 
@@ -50,6 +50,16 @@ def test_rank_nullity_and_projection(rows):
         out = proj.matrix.apply(e)
         assert all(out[t] == (1 if t == pos else 0)
                    for t in range(len(proj.indices)))
+    # the RREF kernel: annihilated, cols - rank vectors, and vector j is
+    # the delta at free column j on the free columns
+    if m:
+        kern, free = rref_kernel(QMatrix.from_rows(rows))
+        assert len(kern) == len(free) == m - rank
+        for j, vec in enumerate(kern):
+            assert all(sum(rows[i][c] * vec[c] for c in range(m)) == 0
+                       for i in range(n))
+            assert [vec[c] for c in free] == [int(k == j)
+                                              for k in range(len(free))]
 
 
 def test_first_independent_labels_convention():

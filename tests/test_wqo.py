@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -9,8 +10,10 @@ from repstab.wqo import (Framing, ols,
                          find_good_pair, ldag_invariants,
                          ldag_construct_morphism, enumerate_morphisms,
                          tautological_framings, factor_framing,
-                         is_tautological, element_exponent, _surjections)
-from repstab.errors import NotSurjective, InvalidFraming, LawViolation
+                         is_tautological, element_exponent, _surjections,
+                         _ordered_subset_count)
+from repstab.errors import (NotSurjective, InvalidFraming, LawViolation,
+                            ScaleExceeded)
 
 MAXSIZE = 6
 
@@ -151,6 +154,22 @@ def test_morphism_existence_implies_comparison():
                 continue
             if enumerate_morphisms(x, y):
                 assert find_good_pair([x, y], order="ldag") == (0, 1), (x, y)
+
+
+def test_tautological_framings_guard_counts_ordered_subsets():
+    # order 8 has sum_k 8!/(8-k)! = 109600 ordered subsets, under 2^24;
+    # order 16 has about 5.7e13, refused before any subset is walked
+    # C2^2 has 4 + 12 + 24 + 24 = 64 candidates
+    with pytest.raises(ScaleExceeded):
+        tautological_framings(group(2, [1, 1]), limit=63)
+    assert len(tautological_framings(group(2, [1, 1]), limit=64)) == 54
+    assert _ordered_subset_count(8, 2 ** 24) == 109600
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceeded):
+        tautological_framings(group(2, [1, 1, 1, 1]))
+    with pytest.raises(ScaleExceeded):
+        tautological_framings(cyclic(2, 40))
+    assert time.perf_counter() - start < 1
 
 
 def test_tautological_framings_counts():
