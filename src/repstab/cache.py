@@ -1,9 +1,10 @@
 """Content-addressed JSON cache for batch command results.
 
-Keys embed an operation name, a cache format version, and the canonical
-input strings, so version bumps simply orphan old entries.  Entries that
-fail to re-parse or whose stored key disagrees are treated as corrupt:
-a warning is emitted and the value is recomputed, never trusted.
+Keys embed an operation name, a cache format version, the package
+version, and the canonical input strings, so either version bump simply
+orphans old entries.  Entries that fail to re-parse, are not a JSON
+object, or whose stored key disagrees are treated as corrupt: a warning
+is emitted and the value is recomputed, never trusted.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import os
 import warnings
 from pathlib import Path
 
+from . import __version__
 from .errors import CacheCorrupt
 
 CACHE_VERSION = 1
@@ -37,12 +39,11 @@ class DiskCache:
         if not path.exists():
             return None
         try:
-            with open(path) as fh:
-                blob = json.load(fh)
-            if blob.get("key") != key:
-                raise ValueError("key mismatch")
+            blob = _load(path)
+            if not isinstance(blob, dict) or blob.get("key") != key:
+                raise ValueError("not an entry for this key")
             return blob["payload"]
-        except (ValueError, KeyError, json.JSONDecodeError, OSError):
+        except (ValueError, KeyError, OSError):
             warnings.warn(f"corrupt cache entry for {key!r}; recomputing",
                           CacheCorrupt)
             return None
@@ -61,15 +62,20 @@ class DiskCache:
         out = []
         for path in sorted(self.directory.glob("*.json")):
             try:
-                with open(path) as fh:
-                    blob = json.load(fh)
-                out.append((blob.get("key", "<corrupt>"),
-                            path.stat().st_size))
-            except (json.JSONDecodeError, OSError):
-                out.append(("<corrupt>", path.stat().st_size))
+                blob = _load(path)
+            except (ValueError, OSError):   # UnicodeDecodeError included
+                blob = None
+            key = blob.get("key") if isinstance(blob, dict) else None
+            out.append((key if isinstance(key, str) else "<corrupt>",
+                        path.stat().st_size))
         return out
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def cache_key(command, *parts):
     canon = ":".join(str(p) for p in parts)
-    return f"{command}:v{CACHE_VERSION}:{canon}"
+    return f"{command}:v{CACHE_VERSION}:{__version__}:{canon}"

@@ -15,7 +15,6 @@ from .groups import trivial_group
 from .families import (parse_family_spec, parse_group_spec, all_abelian,
                        cyclic_family)
 from . import serialize
-from .cache import DiskCache, cache_key
 
 
 def parse_object_spec(text, family=None, scale=16):
@@ -75,8 +74,15 @@ def _emit(args, payload, csv_text=None):
         sys.stdout.write(text)
 
 
-def _cached(args, key, compute):
-    cache = DiskCache(args.cache) if args.cache else DiskCache()
+def _disk_cache(args):
+    from .cache import DiskCache
+    return DiskCache(args.cache) if args.cache else DiskCache()
+
+
+def _cached(args, compute, command, *parts):
+    from .cache import cache_key
+    key = cache_key(command, *parts)
+    cache = _disk_cache(args)
     got = cache.get(key)
     if got is None:
         got = compute()
@@ -89,32 +95,32 @@ def _cached(args, key, compute):
 
 
 def cmd_decompose_tensor(args):
-    from .monoidal import tensor_decompose
     fam = parse_family_spec(args.family)
     g = parse_group_spec(args.g)
     h = parse_group_spec(args.h)
-    key = cache_key("decompose-tensor", fam.key(), g.key(), h.key())
 
     def compute():
+        from .monoidal import tensor_decompose
         summands = tensor_decompose(g, h, fam)
         return serialize.decomposition_to_json(summands, fam)
 
-    _emit(args, _cached(args, key, compute))
+    _emit(args, _cached(args, compute, "decompose-tensor", fam.key(), g.key(),
+                        h.key()))
     return 0
 
 
 def cmd_decompose_hom(args):
-    from .monoidal import hom_decompose
     fam = parse_family_spec(args.family)
     g = parse_group_spec(args.g)
     h = parse_group_spec(args.h)
-    key = cache_key("decompose-hom", fam.key(), g.key(), h.key())
 
     def compute():
+        from .monoidal import hom_decompose
         summands = hom_decompose(g, h, fam)
         return serialize.decomposition_to_json(summands, fam)
 
-    _emit(args, _cached(args, key, compute))
+    _emit(args, _cached(args, compute, "decompose-hom", fam.key(), g.key(),
+                        h.key()))
     return 0
 
 
@@ -142,9 +148,9 @@ def cmd_resolve(args):
 
 
 def cmd_torsion(args):
-    from .stability import torsion_subspace
-    from .towers import tower_for_family
     from .presentations import restrict_presentation
+    from .towers import tower_for_family
+    from .stability import torsion_subspace
     fam = parse_family_spec(args.family) if args.family else None
     x = parse_object_spec(args.object, fam, args.scale)
     g = parse_group_spec(args.group)
@@ -260,7 +266,7 @@ def cmd_framing_factor(args):
 
 
 def cmd_cache_info(args):
-    cache = DiskCache(args.cache) if args.cache else DiskCache()
+    cache = _disk_cache(args)
     entries = cache.entries()
     payload = {"directory": str(cache.directory),
                "entries": [{"key": k, "bytes": s} for k, s in entries]}

@@ -20,7 +20,6 @@ from .groups import (GroupType, Morphism, make_morphism, enumerate_epis,
 from .subgroups import (Subgroup, subgroup_from_lattice_rows,
                         subgroup_from_generators, enumerate_subgroups,
                         kernel, quotient, trivial_subgroup, full_subgroup)
-from .presentations import PresentedObject, MorphismCombination
 
 
 @dataclass(frozen=True)
@@ -314,6 +313,7 @@ def tensor_with_generator_data(g, x, limit=None):
     got = _TENSOR_MEMO.get(memo_key)
     if got is not None:
         return got
+    from .presentations import PresentedObject, MorphismCombination
     fam = x.family
     gen_data = []   # (orig index, WideSubgroup)
     for i, gi in enumerate(x.generators):
@@ -390,6 +390,7 @@ def _pushed_component(wprime, mor, gen_data, target_index):
 
 def tensor_presentation(g, h, family, limit=None):
     """Presentation of e_g (x) e_h (free on the wide summand types)."""
+    from .presentations import PresentedObject
     return PresentedObject(family, tuple(tensor_decompose(g, h, family,
                                                           limit)))
 

@@ -10,8 +10,6 @@ from fractions import Fraction
 from .errors import ParseError
 from .groups import GroupType, Morphism, make_morphism
 from .families import Family
-from .linalg import QMatrix
-from .presentations import MorphismCombination, PresentedObject
 
 
 def fraction_to_str(q):
@@ -70,6 +68,7 @@ def qmatrix_to_json(m):
 
 
 def qmatrix_from_json(d):
+    from .linalg import QMatrix
     m = QMatrix.from_rows([[fraction_from_str(v) for v in row]
                            for row in d["entries"]])
     if m.rows != d["rows"] or m.cols != d["cols"]:
@@ -106,6 +105,7 @@ def presentation_from_json(d):
 
 
 def _presentation_from_json(d):
+    from .presentations import MorphismCombination, PresentedObject
     fam = family_from_json(d["family"])
     gens = tuple(group_from_json(g) for g in d["generators"])
     rel_sources = tuple(group_from_json(h)

@@ -12,7 +12,7 @@ import repstab
 
 from repstab.cli import main, parse_group_spec, parse_object_spec
 from repstab.groups import group, cyclic, trivial_group
-from repstab.errors import ParseError
+from repstab.errors import CacheCorrupt, ParseError
 
 
 def run_cli(args, capsys):
@@ -123,6 +123,43 @@ def test_corrupt_cache_recomputed(tmp_path, capsys):
     with pytest.warns(Warning):
         code2, out2, _ = run_cli(args, capsys)
     assert code2 == 0 and out1 == out2
+
+
+def test_cache_entry_not_an_object_recomputed(tmp_path, capsys):
+    args = ["decompose-tensor", "--g", "C2", "--h", "C4",
+            "--family", "Z2inf", "--cache", str(tmp_path)]
+    code1, out1, _ = run_cli(args, capsys)
+    for path in tmp_path.glob("*.json"):
+        path.write_text("[1,2]")
+    code, out, _ = run_cli(["cache-info", "--cache", str(tmp_path)], capsys)
+    assert code == 0
+    assert [e["key"] for e in json.loads(out)["entries"]] == ["<corrupt>"]
+    with pytest.warns(CacheCorrupt):
+        code2, out2, _ = run_cli(args, capsys)
+    assert code1 == code2 == 0 and out1 == out2
+
+
+def test_undecodable_cache_file_listed_corrupt(tmp_path, capsys):
+    (tmp_path / "junk.json").write_bytes(b"\xff\xfe{\x80}")
+    code, out, err = run_cli(["cache-info", "--cache", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["entries"] == [{"key": "<corrupt>", "bytes": 5}]
+
+
+def test_cache_key_carries_package_version(tmp_path, capsys, monkeypatch):
+    import repstab.cache
+    args = ["decompose-hom", "--g", "C2", "--h", "C4", "--family", "Z2inf",
+            "--cache", str(tmp_path)]
+    monkeypatch.setattr(repstab.cache, "__version__", "0.0.0")
+    code1, out1, _ = run_cli(args, capsys)
+    monkeypatch.undo()
+    code2, out2, _ = run_cli(args, capsys)   # a miss: recomputed, written
+    assert code1 == code2 == 0 and out1 == out2
+    code, out, _ = run_cli(["cache-info", "--cache", str(tmp_path)], capsys)
+    keys = sorted(e["key"] for e in json.loads(out)["entries"])
+    assert [k.split(":")[:3] for k in keys] == [
+        ["decompose-hom", "v1", "0.0.0"],
+        ["decompose-hom", "v1", repstab.__version__]]
 
 
 def test_eval_command(capsys, tmp_path):
@@ -243,6 +280,62 @@ def test_no_numpy_and_quiet_module_entry(tmp_path, subprocess_env):
                           "cache-info", "--cache", str(tmp_path)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0 and run.stderr == ""
+
+
+# the child runs one command and reports, on its last stderr line, every
+# repstab module the command loaded
+_LOADED_PROBE = """
+import json, sys
+import repstab.cli
+repstab.cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "repstab")
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+_FRONT = {"repstab", "repstab.cli", "repstab.config", "repstab.errors",
+          "repstab.families", "repstab.groups", "repstab.intmat",
+          "repstab.serialize"}
+
+
+def _loaded_by(argv, env):
+    run = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stderr.splitlines()[-1]))
+
+
+def test_import_repstab_loads_no_submodule(subprocess_env):
+    probe = ("import sys, repstab\n"
+             "print(sorted(m for m in sys.modules if m.startswith('repstab')))")
+    run = subprocess.run([sys.executable, "-c", probe], env=subprocess_env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.strip() == "['repstab']"
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["cache-info"], {"cache"}),
+    (["wqo-check", "--size", "1"], {"subgroups", "wqo"}),
+    (["eval", "--object", "misc-b", "--group", "C2^2"],
+     {"linalg", "presentations", "subgroups"}),
+    (["framing-factor", "--target", "C2", "--labels", "1,1",
+      "--assign", "1;0"], {"subgroups", "wqo"}),
+    (["tau-scan", "--object", "misc-b", "--bound", "4"],
+     {"linalg", "presentations", "stability", "subgroups", "towers"}),
+], ids=["cache-info", "wqo-check", "eval", "framing-factor", "tau-scan"])
+def test_commands_load_only_their_layers(argv, extra, tmp_path,
+                                         subprocess_env):
+    loaded = _loaded_by([*argv, "--cache", str(tmp_path)], subprocess_env)
+    assert loaded == _FRONT | {f"repstab.{m}" for m in extra}
+
+
+@pytest.mark.parametrize("command", ["decompose-tensor", "decompose-hom"])
+def test_cache_hit_skips_compute_layer(command, tmp_path, subprocess_env):
+    argv = [command, "--g", "C2", "--h", "C4", "--family", "Z2inf",
+            "--cache", str(tmp_path)]
+    warm = _FRONT | {"repstab.cache"}
+    cold = _loaded_by(argv, subprocess_env)
+    assert cold == warm | {"repstab.monoidal", "repstab.subgroups"}
+    assert _loaded_by(argv, subprocess_env) == warm
 
 
 def _object_files(tmp_path):
