@@ -11,9 +11,6 @@ import sys
 from pathlib import Path
 
 from .errors import RepstabError, ParseError, LawViolation
-from .groups import trivial_group
-from .families import (parse_family_spec, parse_group_spec, all_abelian,
-                       cyclic_family)
 from . import serialize
 
 
@@ -22,6 +19,8 @@ def parse_object_spec(text, family=None, scale=16):
 
     Fixtures: misc-a(p), misc-b, e(G), s(G), c(G), t(1), unit.
     """
+    from .groups import trivial_group
+    from .families import parse_group_spec, all_abelian, cyclic_family
     from .presentations import (torsion_example_a, torsion_example_b,
                                 unit_object, BuiltinObject,
                                 builtin_to_presentation)
@@ -95,6 +94,7 @@ def _cached(args, compute, command, *parts):
 
 
 def cmd_decompose_tensor(args):
+    from .families import parse_family_spec, parse_group_spec
     fam = parse_family_spec(args.family)
     g = parse_group_spec(args.g)
     h = parse_group_spec(args.h)
@@ -110,6 +110,7 @@ def cmd_decompose_tensor(args):
 
 
 def cmd_decompose_hom(args):
+    from .families import parse_family_spec, parse_group_spec
     fam = parse_family_spec(args.family)
     g = parse_group_spec(args.g)
     h = parse_group_spec(args.h)
@@ -125,6 +126,7 @@ def cmd_decompose_hom(args):
 
 
 def cmd_eval(args):
+    from .families import parse_family_spec, parse_group_spec
     from .presentations import evaluate
     fam = parse_family_spec(args.family) if args.family else None
     x = parse_object_spec(args.object, fam, args.scale)
@@ -135,6 +137,7 @@ def cmd_eval(args):
 
 
 def cmd_resolve(args):
+    from .families import parse_family_spec
     from .resolutions import resolution
     fam = parse_family_spec(args.family) if args.family else None
     x = parse_object_spec(args.object, fam, args.scale)
@@ -148,6 +151,7 @@ def cmd_resolve(args):
 
 
 def cmd_torsion(args):
+    from .families import parse_family_spec, parse_group_spec
     from .presentations import restrict_presentation
     from .towers import tower_for_family
     from .stability import torsion_subspace
@@ -165,6 +169,7 @@ def cmd_torsion(args):
 
 
 def cmd_stability_scan(args):
+    from .families import parse_family_spec
     from .stability import stability_scan
     fam = parse_family_spec(args.family) if args.family else None
     x = parse_object_spec(args.object, fam, args.scale)
@@ -176,6 +181,7 @@ def cmd_stability_scan(args):
 
 
 def cmd_tau_scan(args):
+    from .families import parse_family_spec
     from .stability import central_stability_degree
     fam = parse_family_spec(args.family) if args.family else None
     x = parse_object_spec(args.object, fam, args.scale)
@@ -187,6 +193,7 @@ def cmd_tau_scan(args):
 
 
 def cmd_omega(args):
+    from .families import parse_family_spec
     from .stability import omega_order
     fam = parse_family_spec(args.family)
     x = parse_object_spec(args.object, fam, args.scale)
@@ -244,6 +251,7 @@ def cmd_wqo_check(args):
 
 
 def cmd_framing_factor(args):
+    from .families import parse_group_spec
     from .wqo import Framing, factor_framing, ols, is_tautological
     target = parse_group_spec(args.target)
     labels = tuple(int(v) for v in args.labels.split(","))
@@ -276,6 +284,17 @@ def cmd_cache_info(args):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _at_least(least):
+    """argparse type: an integer of at least `least`, so that no count
+    leaves a command nothing to compute."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return value
+    return count
 
 
 def build_parser():
@@ -318,7 +337,7 @@ def build_parser():
 
     p = sub.add_parser("resolve")
     p.add_argument("--object", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_at_least(1), required=True)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--minimal", action="store_true")
     common(p)
@@ -328,33 +347,33 @@ def build_parser():
     p.add_argument("--object", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--tower", required=True)
-    p.add_argument("--max-stage", type=int, default=6)
+    p.add_argument("--max-stage", type=_at_least(0), default=6)
     common(p)
     p.set_defaults(fn=cmd_torsion)
 
     p = sub.add_parser("stability-scan")
     p.add_argument("--object", required=True)
     p.add_argument("--restrict", required=True)
-    p.add_argument("--max-rank", type=int, default=4)
+    p.add_argument("--max-rank", type=_at_least(0), default=4)
     common(p)
     p.set_defaults(fn=cmd_stability_scan)
 
     p = sub.add_parser("tau-scan")
     p.add_argument("--object", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_at_least(1), required=True)
     common(p)
     p.set_defaults(fn=cmd_tau_scan)
 
     p = sub.add_parser("omega")
     p.add_argument("--object", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--family", required=True)
-    p.add_argument("--max-rank", type=int, default=5)
+    p.add_argument("--max-rank", type=_at_least(0), default=5)
     p.add_argument("--scale", type=int, default=16)
     p.set_defaults(fn=cmd_omega)
 
     p = sub.add_parser("wqo-check")
-    p.add_argument("--size", type=int, default=5)
+    p.add_argument("--size", type=_at_least(1), default=5)
     p.set_defaults(fn=cmd_wqo_check)
 
     p = sub.add_parser("framing-factor")

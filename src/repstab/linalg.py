@@ -341,11 +341,6 @@ def colimit_of_diagram(diagram, validate=False):
 
 def coinvariants(v, action):
     """Quotient of `v` by the span of (g - id) over the given generators."""
-    return coinvariants_data(v, action)[0]
-
-
-def coinvariants_data(v, action):
-    """Like coinvariants but also returns the StreamCoker for projections."""
     coker = StreamCoker(v.dim)
     for mat in action:
         for j in range(v.dim):
@@ -357,7 +352,7 @@ def coinvariants_data(v, action):
             if col:
                 coker.offer(col)
     surv = coker.surviving()
-    return BasedSpace(len(surv), tuple(v.labels[r] for r in surv)), coker
+    return BasedSpace(len(surv), tuple(v.labels[r] for r in surv))
 
 
 def span_rank(dim, vectors):

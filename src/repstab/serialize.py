@@ -8,8 +8,6 @@ import json
 from fractions import Fraction
 
 from .errors import ParseError
-from .groups import GroupType, Morphism, make_morphism
-from .families import Family
 
 
 def fraction_to_str(q):
@@ -30,6 +28,7 @@ def group_to_json(g):
 
 
 def group_from_json(d):
+    from .groups import GroupType
     return GroupType(int(d["p"]), tuple(int(v) for v in d["lambda"]))
 
 
@@ -40,6 +39,7 @@ def morphism_to_json(f):
 
 
 def morphism_from_json(d):
+    from .groups import make_morphism
     return make_morphism(group_from_json(d["source"]),
                          group_from_json(d["target"]), d["matrix"])
 
@@ -55,8 +55,8 @@ def family_to_json(fam):
 
 
 def family_from_json(d):
+    from .families import Family, truncated
     if d["kind"] == "TruncatedLeq":
-        from .families import truncated
         return truncated(family_from_json(d["base"]), int(d["bound"]))
     return Family(d["kind"], int(d["p"]), int(d["n"]) if d.get("n") else None)
 
@@ -135,6 +135,7 @@ def based_space_to_json(sp):
 
 
 def _label_str(lab):
+    from .groups import Morphism
     if isinstance(lab, tuple) and len(lab) == 2 \
             and isinstance(lab[1], Morphism):
         i, mor = lab

@@ -21,7 +21,11 @@ from .subgroups import quotient, normal_quotient_poset, q_leq_n
 from .presentations import (evaluate, evaluate_dim, structure_map,
                             _eval_data, restrict_presentation,
                             _orbit_structure)
-from .towers import colimit_tower_stages, _STAGE_ORDER_LIMIT
+from .towers import colimit_tower_stages
+
+# tower stage groups may exceed the interactive desk bound; their cost is
+# governed by the stage budget and the candidate guards instead
+_STAGE_ORDER_LIMIT = 2 ** 62
 
 
 # ---------------------------------------------------------------------------
@@ -244,53 +248,38 @@ def torsion_oracle_via_L(x, g, vec, tower, window=2, max_stage=5,
     # not killed on any scanned stage: decide through the coinvariant
     # chain of the tensored object
     tensored, gen_data = tensor_with_generator_data(g, x, limit)
-    tvec = _unit_tensor_vector(x, g, vec, tensored, gen_data, limit)
     stages, maps, stab = colimit_tower_stages(tensored, tower, window,
                                               max_stage)
     if stab is None:
         raise NotStabilized("tower window not reached; raise max_stage")
-    alpha = canonical_tower_epi(tower, max_stage, g)
-    if alpha is None:
+    if last_stage != max_stage:
         raise NotStabilized("tower never reaches the group; raise max_stage")
-    pushed = structure_map(tensored, alpha,
-                           limit or _STAGE_ORDER_LIMIT).apply(tvec)
-    projected = stages[max_stage].project(pushed)
+    # 1_g (x) v sums val * (slot, theta) over the labels of v; each pulls
+    # back to the class e_slot at the last stage, and relations at g pull
+    # back to relations, so the tensored object is never evaluated
+    projected = stages[max_stage].project(
+        _unit_tensor_slots(x, g, vec, gen_data, limit))
     return not any(v != 0 for v in projected)
 
 
-def _unit_tensor_vector(x, g, vec, tensored, gen_data, limit=None):
-    """Coordinates of 1_g (x) v inside the tensored presentation at g."""
+def _unit_tensor_slots(x, g, vec, gen_data, limit=None):
+    """(slot, value) pairs of 1_g (x) v in the tensored presentation: the
+    label (i, u) of X(g) lies in the generator slot whose wide subgroup of
+    g x G_i is the graph of u."""
     from .monoidal import _product2
     from .subgroups import subgroup_from_generators
-    data_x = _eval_data(x, g, limit)
-    data_t = _eval_data(tensored, g, limit)
-    acc = {}
+    labels = _eval_data(x, g, limit).space.labels
+    units = [tuple(1 if t == k else 0 for t in range(g.rank))
+             for k in range(g.rank)]
     for pos, val in enumerate(vec):
         if not val:
             continue
-        i, u = data_x.space.labels[pos]
-        gi = x.generators[i]
-        prod = _product2(g, gi)
-        gens = []
-        for k in range(g.rank):
-            unit = tuple(1 if t == k else 0 for t in range(g.rank))
-            gens.append(prod.embed(unit, u(unit)))
-        img = subgroup_from_generators(prod.group, gens)
-        slot = next(s for s, (ii, w) in enumerate(gen_data)
-                    if ii == i and w.embedded == img)
-        w = gen_data[slot][1]
-        rows = [[0] * g.rank for _ in range(w.isomorphism_type.rank)]
-        for k in range(g.rank):
-            unit = tuple(1 if t == k else 0 for t in range(g.rank))
-            coords = w.embedded.abstract_coordinates(
-                prod.embed(unit, u(unit)))
-            for r in range(w.isomorphism_type.rank):
-                rows[r][k] = coords[r]
-        theta = make_morphism(g, w.isomorphism_type, rows)
-        amb = data_t.index[(slot, theta)]
-        acc[amb] = acc.get(amb, Fraction(0)) + Fraction(val)
-    out = data_t.coker.project({k: v for k, v in acc.items() if v})
-    return list(out)
+        i, u = labels[pos]
+        prod = _product2(g, x.generators[i])
+        img = subgroup_from_generators(
+            prod.group, [prod.embed(unit, u(unit)) for unit in units])
+        yield next(s for s, (ii, w) in enumerate(gen_data)
+                   if ii == i and w.embedded == img), Fraction(val)
 
 
 # ---------------------------------------------------------------------------

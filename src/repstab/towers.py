@@ -7,29 +7,28 @@ limit of the induced chain.  Supported rules: (Z/p^n)^i for the bounded
 and free families, Z/p^i for the cyclic p-groups, C_p^i for elementary
 abelian, and the constant chain for bounded cyclic families.
 
-Relation-free presentations get two fast paths.  For moderate surjection
-sets the automorphisms permute the (generator, surjection) basis and
-coinvariants are orbit counts.  For large sets we use that every tower
-group is a free module or cyclic, so automorphisms act transitively on
-each nonempty surjection set (`groups.aut_transitive_on_epis`); the
-coinvariants are then one dimension per live generator.  The two routes
-are cross-checked in the test suite.
+Every stage is in closed form, with no evaluation.  A tower group G is
+homocyclic, so Aut(G) is transitive on each nonempty Epi(G, H)
+(`groups.aut_transitive_on_epis`).  The free part sum_i Q[Epi(G, G_i)]
+therefore has coinvariants Q^live, one coordinate e_i per generator G_i
+that is a quotient of G, the class of (i, u) being e_i.  A relation
+column with source H, pulled back along any surjection beta: G -> H, has
+the terms (i, mor o beta), so its class is the augmentation of the
+column: the vector whose i-th entry is the sum of the coefficients in
+entry i, the same for every beta.  Coinvariants are right exact, so the
+stage is Q^live modulo the augmentations of the relation sources that
+are quotients of G.  The projection G_{i+1} -> G_i sends (i, u) to
+(i, u o eps), so the connecting map sends the class of e_i to the class
+of e_i.  The evaluate-and-reduce route stays in the test oracles.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TowerUnavailable, InvariantViolation
-from .groups import (GroupType, make_morphism, automorphism_generators,
-                     aut_transitive_on_epis, hom_candidate_count,
-                     orbit_roots, quotient_exists)
-from .linalg import QMatrix, coinvariants_data
-from .presentations import evaluate, structure_map, _eval_data
-
-_PERM_LABEL_LIMIT = 20000
-# tower stage groups may exceed the interactive desk bound; their cost is
-# governed by the stage budget and the candidate guards instead
-_STAGE_ORDER_LIMIT = 2 ** 62
+from .errors import TowerUnavailable, NotStabilized, InvariantViolation
+from .groups import (GroupType, make_morphism, aut_transitive_on_epis,
+                     quotient_exists)
+from .linalg import QMatrix, StreamCoker
 
 
 @dataclass(frozen=True)
@@ -65,117 +64,42 @@ def tower_for_family(family):
 
 
 class _Stage:
-    """Coinvariants of X at one tower group."""
+    """Coinvariants of X at a homocyclic group g: Q^live, kept as one
+    coordinate e_i per generator modulo the e_i of the generators that are
+    not quotients of g (no label lies over them), modulo the augmentations
+    of the relation columns whose source is a quotient of g."""
 
-    __slots__ = ("group", "mode", "dim", "labels", "index", "orbit_of",
-                 "space_dim", "project_fn", "lifts", "live")
+    __slots__ = ("coker", "dim")
 
     def __init__(self, x, g):
-        self.group = g
-        self.live = None
-        self.labels = self.index = self.orbit_of = None
-        self.project_fn = self.lifts = self.space_dim = None
-        if not x.rel_sources:
-            total = sum(hom_candidate_count(g, gen)
-                        for gen in x.generators if quotient_exists(g, gen))
-            if total > _PERM_LABEL_LIMIT and aut_transitive_on_epis(g):
-                self.mode = "transitive"
-                self.live = [i for i, gen in enumerate(x.generators)
-                             if quotient_exists(g, gen)]
-                self.dim = len(self.live)
-                return
-            self._init_perm(x, g)
-            return
-        self._init_generic(x, g)
+        if not aut_transitive_on_epis(g):
+            raise InvariantViolation(
+                f"{g!r} is no tower group: Aut is not transitive on its "
+                "surjection sets")
+        self.coker = StreamCoker(len(x.generators))
+        for i, gen in enumerate(x.generators):
+            if not quotient_exists(g, gen):
+                self.coker.offer({i: Fraction(1)})
+        for h, col in zip(x.rel_sources, x.columns):
+            if quotient_exists(g, h):
+                self.coker.offer({i: sum(c for _mor, c in entry.terms)
+                                  for i, entry in enumerate(col)
+                                  if entry is not None})
+        self.dim = len(x.generators) - self.coker.rank
 
-    def _init_perm(self, x, g):
-        data = _eval_data(x, g, _STAGE_ORDER_LIMIT)
-        labels = data.space.labels
-        index = {lab: i for i, lab in enumerate(labels)}
-        found = orbit_roots(len(labels), (
-            (pos, index[(i, u @ psi)])
-            for psi in automorphism_generators(g)
-            for pos, (i, u) in enumerate(labels)))
-        roots = {}
-        orbit_of = []
-        for r in found:
-            if r not in roots:
-                roots[r] = len(roots)
-            orbit_of.append(roots[r])
-        self.mode = "perm"
-        self.labels = labels
-        self.index = index
-        self.orbit_of = orbit_of
-        self.dim = len(roots)
-        self.space_dim = len(labels)
-        lifts = {}
-        for pos, orb in enumerate(orbit_of):
-            lifts.setdefault(orb, pos)
-        self.lifts = [lifts[o] for o in range(self.dim)]
-        self.live = sorted({labels[pos][0] for pos in range(len(labels))})
-
-    def _init_generic(self, x, g):
-        sp = evaluate(x, g, _STAGE_ORDER_LIMIT)
-        mats = [structure_map(x, psi, _STAGE_ORDER_LIMIT)
-                for psi in automorphism_generators(g)]
-        space, coker = coinvariants_data(sp, mats)
-        self.mode = "generic"
-        self.dim = space.dim
-        self.space_dim = sp.dim
-        self.project_fn = coker.project
-        self.lifts = coker.surviving()
-
-    def project(self, vec):
-        if self.mode == "perm":
-            out = [Fraction(0)] * self.dim
-            for pos, val in enumerate(vec):
-                if val:
-                    out[self.orbit_of[pos]] += val
-            return tuple(out)
-        if self.mode == "generic":
-            return self.project_fn({i: v for i, v in enumerate(vec) if v})
-        raise RuntimeError("transitive stages carry no explicit vectors")
+    def project(self, pairs):
+        """Coordinates of the class of the sum of val * e_i over (i, val)."""
+        weights = {}
+        for i, val in pairs:
+            weights[i] = weights.get(i, 0) + val
+        return self.coker.project(weights)
 
 
-def _connecting(x, tower, i, lo, hi):
-    """Matrix of the induced coinvariants map, stage i -> stage i+1."""
-    eps = tower.projection(i)
-    if lo.mode == "transitive" or hi.mode == "transitive":
-        # both stages reduce to one dimension per live generator; the
-        # induced map sends a generator class to the same generator class
-        lo_live = lo.live
-        hi_live = hi.live
-        if lo_live is None or hi_live is None:
-            raise TowerUnavailable("mixed stage modes need generator data")
-        # tower groups are free or cyclic, so the action on each nonempty
-        # surjection set is transitive; a permuted stage must agree
-        for st in (lo, hi):
-            if not aut_transitive_on_epis(st.group) or st.dim != len(st.live):
-                raise InvariantViolation(
-                    f"{st.group!r}: {st.dim} orbits for {len(st.live)} "
-                    "live generators")
-        pos_hi = {gen: k for k, gen in enumerate(hi_live)}
-        mat = [[Fraction(0)] * len(lo_live) for _ in range(len(hi_live))]
-        for col, gen in enumerate(lo_live):
-            mat[pos_hi[gen]][col] = Fraction(1)
-        return QMatrix(len(hi_live), len(lo_live),
-                       tuple(tuple(r) for r in mat))
-    if lo.mode == "perm" and hi.mode == "perm":
-        mat = [[Fraction(0)] * lo.dim for _ in range(hi.dim)]
-        for orb in range(lo.dim):
-            gen_i, u = lo.labels[lo.lifts[orb]]
-            tpos = hi.index[(gen_i, u @ eps)]
-            mat[hi.orbit_of[tpos]][orb] += 1
-        return QMatrix(hi.dim, lo.dim, tuple(tuple(r) for r in mat))
-    smap = structure_map(x, eps, _STAGE_ORDER_LIMIT)
-    cols = []
-    for pos in lo.lifts:
-        vec = [Fraction(0)] * lo.space_dim
-        vec[pos] = Fraction(1)
-        cols.append(hi.project(smap.apply(vec)))
-    rows = tuple(tuple(cols[j][r] for j in range(len(cols)))
-                 for r in range(hi.dim))
-    return QMatrix(hi.dim, len(cols), rows)
+def _connecting(lo, hi):
+    """Matrix of the induced coinvariants map: e_i goes to e_i."""
+    cols = [hi.project([(i, Fraction(1))]) for i in lo.coker.surviving()]
+    return QMatrix(hi.dim, lo.dim,
+                   tuple(tuple(c[r] for c in cols) for r in range(hi.dim)))
 
 
 def colimit_tower_stages(x, tower, window=2, max_stage=8):
@@ -185,14 +109,15 @@ def colimit_tower_stages(x, tower, window=2, max_stage=8):
     stage opening a run of `window` consecutive stages linked by
     isomorphisms, or None.
     """
+    if max_stage < 0:
+        raise NotStabilized(f"max_stage {max_stage} leaves no tower stage")
     stages = []
     for i in range(max_stage + 1):
         g = tower.group(i)
         if not x.family.contains(g):
             raise TowerUnavailable(f"tower stage {g!r} escapes the family")
         stages.append(_Stage(x, g))
-    maps = [_connecting(x, tower, i, stages[i], stages[i + 1])
-            for i in range(max_stage)]
+    maps = [_connecting(stages[i], stages[i + 1]) for i in range(max_stage)]
     # the tail must form a run of `window` stages linked by isomorphisms;
     # an initial dead zone of empty stages must not count as stabilization
     need = max(window - 1, 1)

@@ -240,3 +240,33 @@ def orbits_bruteforce(g, points, act):
             seen |= orbit
             orbits.add(orbit)
     return orbits
+
+
+def coinvariant_stages_bruteforce(x, tower, max_stage):
+    """Stage dims and connecting-map ranks of a colimit tower, by
+    evaluating X at every stage.
+
+    Stage i is X(G_i) modulo B_i, the span of the columns of M_psi - I
+    over the automorphism generators psi of G_i, ranked densely.  The map
+    from stage i to stage i+1 has rank rank(eps^* X(G_i) + B_{i+1}) -
+    rank(B_{i+1}), with eps the tower projection.  Returns (dims, ranks).
+    """
+    from repstab.groups import automorphism_generators
+    from repstab.presentations import evaluate_dim, structure_map
+
+    dims, ranks = [], []
+    for i in range(max_stage + 1):
+        g = tower.group(i)
+        n = evaluate_dim(x, g)
+        moved = []
+        for psi in automorphism_generators(g):
+            m = structure_map(x, psi)
+            moved.extend([m.entries[r][c] - (r == c) for r in range(n)]
+                         for c in range(n))
+        b = dense_rank(moved)
+        dims.append(n - b)
+        if i:
+            eps = structure_map(x, tower.projection(i - 1))
+            pulled = [list(eps.column(c)) for c in range(eps.cols)]
+            ranks.append(dense_rank(moved + pulled) - b)
+    return dims, ranks

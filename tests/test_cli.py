@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import repstab
 
-from repstab.cli import main, parse_group_spec, parse_object_spec
+from repstab.cli import main, parse_object_spec
+from repstab.families import parse_group_spec
 from repstab.groups import group, cyclic, trivial_group
 from repstab.errors import CacheCorrupt, ParseError
 
@@ -229,6 +230,28 @@ def test_usage_and_input_errors(capsys, tmp_path):
     assert "parse-error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--object", "misc-a(3)", "--group", "C3", "--tower", "E3",
+     "--max-stage", "-1"],
+    ["stability-scan", "--object", "misc-a(3)", "--restrict", "E3",
+     "--max-rank", "-1"],
+    ["omega", "--object", "e(C2)", "--n", "2", "--family", "E2",
+     "--max-rank", "-1"],
+    ["wqo-check", "--size", "0"],
+    ["tau-scan", "--object", "misc-b", "--bound", "0"],
+    ["resolve", "--object", "t(1)", "--bound", "0"],
+    ["omega", "--object", "e(C2)", "--n", "0", "--family", "E2"],
+    ["wqo-check", "--size", "two"],
+], ids=["torsion", "stability-scan", "omega", "wqo-check", "tau-scan",
+        "resolve", "omega-n", "not-an-integer"])
+def test_vacuous_counts_are_usage_errors(argv, capsys, tmp_path):
+    # a count that leaves nothing to compute is refused, not answered
+    # with an empty table, a vacuous verdict or a traceback
+    code, out, err = run_cli([*argv, "--cache", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert "must be at least" in err or "invalid count value" in err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(["decompose-tensor", "--g", "C2", "--h", "C2",
@@ -292,9 +315,10 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "repstab")
 print(json.dumps(loaded), file=sys.stderr)
 """
 
-_FRONT = {"repstab", "repstab.cli", "repstab.config", "repstab.errors",
-          "repstab.families", "repstab.groups", "repstab.intmat",
-          "repstab.serialize"}
+_FRONT = {"repstab", "repstab.cli", "repstab.errors", "repstab.serialize"}
+# what parsing a group spec loads, and a family spec on top of it
+_GROUPS = {"config", "groups", "intmat"}
+_SPECS = _GROUPS | {"families"}
 
 
 def _loaded_by(argv, env):
@@ -314,13 +338,14 @@ def test_import_repstab_loads_no_submodule(subprocess_env):
 
 @pytest.mark.parametrize("argv, extra", [
     (["cache-info"], {"cache"}),
-    (["wqo-check", "--size", "1"], {"subgroups", "wqo"}),
+    (["wqo-check", "--size", "1"], _GROUPS | {"subgroups", "wqo"}),
     (["eval", "--object", "misc-b", "--group", "C2^2"],
-     {"linalg", "presentations", "subgroups"}),
+     _SPECS | {"linalg", "presentations", "subgroups"}),
     (["framing-factor", "--target", "C2", "--labels", "1,1",
-      "--assign", "1;0"], {"subgroups", "wqo"}),
+      "--assign", "1;0"], _SPECS | {"subgroups", "wqo"}),
     (["tau-scan", "--object", "misc-b", "--bound", "4"],
-     {"linalg", "presentations", "stability", "subgroups", "towers"}),
+     _SPECS | {"linalg", "presentations", "stability", "subgroups",
+               "towers"}),
 ], ids=["cache-info", "wqo-check", "eval", "framing-factor", "tau-scan"])
 def test_commands_load_only_their_layers(argv, extra, tmp_path,
                                          subprocess_env):
@@ -332,7 +357,7 @@ def test_commands_load_only_their_layers(argv, extra, tmp_path,
 def test_cache_hit_skips_compute_layer(command, tmp_path, subprocess_env):
     argv = [command, "--g", "C2", "--h", "C4", "--family", "Z2inf",
             "--cache", str(tmp_path)]
-    warm = _FRONT | {"repstab.cache"}
+    warm = _FRONT | {f"repstab.{m}" for m in _SPECS | {"cache"}}
     cold = _loaded_by(argv, subprocess_env)
     assert cold == warm | {"repstab.monoidal", "repstab.subgroups"}
     assert _loaded_by(argv, subprocess_env) == warm

@@ -338,22 +338,23 @@ def test_two_point_orbit_index_matches_full_automorphisms():
     assert checked == 45
 
 
-def test_perm_stage_orbits_match_full_automorphisms():
+def test_stage_dim_is_orbit_count_at_homocyclic_members():
+    # at a homocyclic group the closed-form stage of a free object has one
+    # coordinate per live generator: that many Aut-orbits of labels
     checked = 0
     for p, bound in ORBIT_FAMILIES:
         fam = all_abelian(p)
-        members = fam.members(bound)
         gens = [cyclic(p, 1), group(p, [1, 1])]
         x = free_object(fam, *gens)
-        for g in members:
-            stage = _Stage(x, g)
-            if stage.mode != "perm":
+        for g in fam.members(bound):
+            if not aut_transitive_on_epis(g):
                 continue
-            keys = [(i, u.matrix) for i, u in stage.labels]
+            keys = [(i, u.matrix) for i, gen in enumerate(gens)
+                    for u in enumerate_epis(g, gen)]
             want = orbits_bruteforce(
                 g, keys, lambda iu, a: (iu[0], compose_bruteforce(
                     iu[1], a, gens[iu[0]].moduli())))
-            assert _partition(keys, stage.orbit_of) == want, g
-            assert stage.dim == len(want)
+            live = sum(quotient_exists(g, gen) for gen in gens)
+            assert _Stage(x, g).dim == live == len(want), g
             checked += 1
-    assert checked == 19
+    assert checked == 15

@@ -67,7 +67,7 @@ def test_readme_quick_tour_values(subprocess_env):
 
 
 @pytest.mark.parametrize("demo", ["central_stability", "order_combinatorics",
-                                  "tensor_and_hom"])
+                                  "tensor_and_hom", "torsion_and_colimits"])
 def test_fast_demos_run(demo, subprocess_env):
     run = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                          env=subprocess_env, capture_output=True, text=True,

@@ -143,6 +143,19 @@ def test_oracle_trivial_cases():
                                 max_stage=4) is False
 
 
+def test_oracle_keeps_generator_slots_apart():
+    # a free object is torsion free; a difference of two labels lies in
+    # two distinct generator slots of the tensored object, whose classes
+    # stay independent along the whole tower
+    fam = elementary(2)
+    e = free_object(fam, C2)
+    tw = tower_for_family(fam)
+    c22 = group(2, [1, 1])
+    for vec in [(1, -1, 0), (0, 1, 1), (1, 1, 1)]:
+        vec = tuple(Fraction(v) for v in vec)
+        assert torsion_oracle_via_L(e, c22, vec, tw, max_stage=4) is False
+
+
 def test_tensor_with_torsion_is_torsion():
     fam = exponent_bounded(3, 2)
     x = restrict_presentation(torsion_example_a(3), fam)
