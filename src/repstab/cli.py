@@ -314,7 +314,7 @@ def build_parser():
     def common(p, with_family=True):
         if with_family:
             p.add_argument("--family", default=None)
-        p.add_argument("--scale", type=int, default=16,
+        p.add_argument("--scale", type=_at_least(1), default=16,
                        help="presentation scale for builtin fixtures")
 
     p = sub.add_parser("decompose-tensor")
@@ -369,7 +369,7 @@ def build_parser():
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--max-rank", type=_at_least(0), default=5)
-    p.add_argument("--scale", type=int, default=16)
+    p.add_argument("--scale", type=_at_least(1), default=16)
     p.set_defaults(fn=cmd_omega)
 
     p = sub.add_parser("wqo-check")

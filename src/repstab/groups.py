@@ -409,40 +409,42 @@ def automorphisms(g, limit=None):
 
 @lru_cache(maxsize=None)
 def automorphism_generators(g):
-    """A small generating set of Aut(g): swaps, transvections, unit scalings.
+    """A small generating set of Aut(g), used for orbit and coinvariant
+    computations where enumerating the whole group would be hopeless.
 
-    Verified against the full automorphism list in the test suite for small
-    groups; used for orbit and coinvariant computations where enumerating
-    the whole automorphism group would be hopeless.
+    Homocyclic g = (Z/p^k)^r with r >= 2 gets at most four generators: the
+    transvection T = I + E_12, the signed cycle C: e_j -> e_{j+1},
+    e_r -> (-1)^(r+1) e_1 (so det C = 1), and diag(u, 1, ..., 1) for each
+    generator u of (Z/p^k)^*.  They generate Aut(g) = GL_r(Z/p^k):
+    Z/p^k is a local ring, so SL_r(Z/p^k) is generated by the elementary
+    transvections I + a E_ij, which are powers of I + E_ij.  Conjugating T
+    by powers of C gives every I +- E_{i,i+1} and I +- E_{r,1}, and the
+    commutator [I + a E_ij, I + b E_jk] = I + ab E_ik (i != k) reaches every
+    E_ij from these.  For r = 2, T and C are the images of the usual
+    generators T and S of SL_2(Z) (Trott, Canad. Math. Bull. 5, 1962;
+    Coxeter-Moser, Generators and Relations for Discrete Groups, 7.5).
+    Finally det maps the diag(u, 1, ..., 1) onto the units.
+
+    Other groups get the transvections I + p^max(0, l_i - l_j) E_ij and
+    the unit scalings of each cyclic factor.
     """
-    p = g.p
-    lam = g.exponents
-    r = g.rank
-    gens = []
+    p, lam, r = g.p, g.exponents, g.rank
 
-    def from_rows(rows):
+    def elementary(i, j, v):
+        rows = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
+        rows[i][j] = v
         return make_morphism(g, g, rows)
 
-    ident = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            rows = [row[:] for row in ident]
-            rows[i][j] = p ** max(0, lam[i] - lam[j])
-            gens.append(from_rows(rows))
-    for i in range(r):
-        for u in _unit_generators(p, lam[i]):
-            if u != 1:
-                rows = [row[:] for row in ident]
-                rows[i][i] = u
-                gens.append(from_rows(rows))
-    out, seen = [], set()
-    for f in gens:
-        if f.matrix not in seen:
-            seen.add(f.matrix)
-            out.append(f)
-    return tuple(out)
+    if r >= 2 and len(set(lam)) == 1:
+        cycle = [[1 if a == b + 1 else 0 for b in range(r)] for a in range(r)]
+        cycle[0][r - 1] = (-1) ** (r + 1)
+        return (elementary(0, 1, 1), make_morphism(g, g, cycle),
+                *(elementary(0, 0, u) for u in _unit_generators(p, lam[0])))
+    return tuple(
+        [elementary(i, j, p ** max(0, lam[i] - lam[j]))
+         for i in range(r) for j in range(r) if i != j]
+        + [elementary(i, i, u)
+           for i in range(r) for u in _unit_generators(p, lam[i])])
 
 
 def _unit_generators(p, k):

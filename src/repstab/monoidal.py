@@ -340,8 +340,10 @@ def tensor_with_generator_data(g, x, limit=None):
                     source_type, gen_types[slot], terms))
             rel_sources.append(source_type)
             columns.append(tuple(col))
+    # a missing relation source of x has order above x.scale, and so have
+    # its wide subgroups: the tensor is exact up to the same scale
     obj = PresentedObject(fam, gen_types, tuple(rel_sources),
-                          tuple(columns))
+                          tuple(columns), x.scale)
     _TENSOR_MEMO[memo_key] = (obj, gen_data)
     return obj, gen_data
 

@@ -47,15 +47,18 @@ class MorphismCombination:
                              key=lambda t: t[0].sort_key()))
         return cls(source, target, items)
 
-    def is_zero(self):
-        return not self.terms
-
 
 class PresentedObject:
-    """Finitely presented object: generators plus relation columns."""
+    """Finitely presented object: generators plus relation columns.
 
-    def __init__(self, family, generators, rel_sources=(), columns=()):
+    `scale` is the largest order at which a presentation built up to a
+    scale is exact; None means exact at every order.
+    """
+
+    def __init__(self, family, generators, rel_sources=(), columns=(),
+                 scale=None):
         self.family = family
+        self.scale = scale
         self.generators = tuple(generators)
         self.rel_sources = tuple(rel_sources)
         self.columns = tuple(tuple(col) for col in columns)
@@ -82,7 +85,8 @@ class PresentedObject:
             tuple((i, entry.terms) for i, entry in enumerate(col)
                   if entry is not None and entry.terms)
             for col in self.columns)
-        return (self.family.key(), self.generators, self.rel_sources, cols)
+        return (self.family.key(), self.generators, self.rel_sources, cols,
+                self.scale)
 
     def __eq__(self, other):
         return (isinstance(other, PresentedObject)
@@ -106,9 +110,16 @@ class EvalData:
         self.space = space
 
 
-def _eval_data(x, t, limit=None):
+def _check_in_range(x, t):
     if not x.family.contains(t):
         raise NotInFamily(f"{t!r} is not in {x.family!r}")
+    if x.scale is not None:
+        config.check_order(t.order, x.scale,
+                           what="evaluation above the presentation scale")
+
+
+def _eval_data(x, t, limit=None):
+    _check_in_range(x, t)
     got = x._evals.get(t)
     if got is not None:
         return got
@@ -163,8 +174,7 @@ def evaluate(x, t, limit=None):
 def evaluate_dim(x, t, limit=None):
     """dim X(t); avoids materializing surjection sets for free objects."""
     if not x.rel_sources:
-        if not x.family.contains(t):
-            raise NotInFamily(f"{t!r} is not in {x.family!r}")
+        _check_in_range(x, t)
         return sum(count_epis(t, g) for g in x.generators)
     return _eval_data(x, t, limit).space.dim
 
@@ -464,7 +474,7 @@ def present_explicit(fun, scale, minimal=True):
         rel_sources.append(h)
         columns.append(tuple(col))
     return PresentedObject(fun.family, gen_types, tuple(rel_sources),
-                           tuple(columns))
+                           tuple(columns), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -538,34 +548,39 @@ def builtin_to_presentation(b, scale, limit=None):
     raise ValueError(b.kind)
 
 
+def _automorphism_relations(g):
+    """Relation columns psi - id of e_g, one per generator psi of Aut(g).
+
+    They generate the relations of every automorphism, since
+    (psi1 psi2 - id) beta = (psi1 - id)(psi2 beta) + (psi2 - id) beta.
+    """
+    ident = identity_morphism(g)
+    return [(MorphismCombination.make(g, g, [(psi, 1), (ident, -1)]),)
+            for psi in automorphism_generators(g)]
+
+
 def _coinvariant_presentation(family, g):
     """e_g modulo the automorphism action (trivial coefficients)."""
-    ident = identity_morphism(g)
-    rel_sources, columns = [], []
-    for psi in automorphism_generators(g):
-        comb = MorphismCombination.make(g, g, [(psi, 1), (ident, -1)])
-        if not comb.is_zero():
-            rel_sources.append(g)
-            columns.append((comb,))
-    return PresentedObject(family, (g,), tuple(rel_sources), tuple(columns))
+    columns = _automorphism_relations(g)
+    return PresentedObject(family, (g,), (g,) * len(columns), columns)
 
 
 def _simple_presentation(family, g, scale):
-    """The simple object supported at g, presented up to `scale`."""
-    rel_sources, columns = [], []
-    ident = identity_morphism(g)
-    for psi in automorphism_generators(g):
-        comb = MorphismCombination.make(g, g, [(psi, 1), (ident, -1)])
-        if not comb.is_zero():
-            rel_sources.append(g)
-            columns.append((comb,))
+    """The simple object supported at g, presented up to `scale`.
+
+    One relation source per Aut(t)-orbit of Epi(t, g) suffices: alpha o
+    sigma and alpha have the same image in e_g.
+    """
+    columns = _automorphism_relations(g)
+    rel_sources = [g] * len(columns)
     for t in family.members(max_order=scale):
-        if t.order <= g.order or not quotient_exists(t, g):
-            continue
-        for alpha in enumerate_epis(t, g):
-            rel_sources.append(t)
-            columns.append((MorphismCombination.make(t, g, [(alpha, 1)]),))
-    return PresentedObject(family, (g,), tuple(rel_sources), tuple(columns))
+        if t.order > g.order:
+            for alpha in _orbit_reps(t, g):
+                rel_sources.append(t)
+                columns.append(
+                    (MorphismCombination.make(t, g, [(alpha, 1)]),))
+    return PresentedObject(family, (g,), tuple(rel_sources), tuple(columns),
+                           scale)
 
 
 def _coinduced_functor(family, g):
@@ -592,7 +607,11 @@ def _coinduced_functor(family, g):
 
 @lru_cache(maxsize=None)
 def _orbit_structure(g, t):
-    """(reps, lookup) for Aut(g) precomposition orbits on Epi(g, t)."""
+    """(reps, lookup) for Aut(g) precomposition orbits on Epi(g, t).
+
+    Orbits are numbered, and represented, by their first member in
+    enumeration order, so neither depends on the generating set.
+    """
     if not quotient_exists(g, t):
         return (), {}
     epis = enumerate_epis(g, t)
@@ -603,10 +622,10 @@ def _orbit_structure(g, t):
                                     for psi in gens))
     roots = {}
     reps = []
-    for r in found:
+    for f, r in zip(epis, found):
         if r not in roots:
             roots[r] = len(reps)
-            reps.append(epis[r])
+            reps.append(f)
     lookup = {f.matrix: roots[r] for f, r in zip(epis, found)}
     return tuple(reps), lookup
 
@@ -657,7 +676,7 @@ def restrict_presentation(x, subfamily):
         rel_sources.append(h)
         columns.append(newcol)
     return PresentedObject(subfamily, gens, tuple(rel_sources),
-                           tuple(columns))
+                           tuple(columns), x.scale)
 
 
 def quotient_by_elements(x, t, vectors):
@@ -684,7 +703,7 @@ def quotient_by_elements(x, t, vectors):
         rel_sources.append(t)
         columns.append(tuple(col))
     return PresentedObject(x.family, x.generators, tuple(rel_sources),
-                           tuple(columns))
+                           tuple(columns), x.scale)
 
 
 def direct_sum(x, y):
@@ -699,7 +718,9 @@ def direct_sum(x, y):
         columns.append(tuple(col) + pad_y)
     for col in y.columns:
         columns.append(pad_x + tuple(col))
-    return PresentedObject(x.family, gens, rel_sources, tuple(columns))
+    scales = [s for s in (x.scale, y.scale) if s is not None]
+    return PresentedObject(x.family, gens, rel_sources, tuple(columns),
+                           min(scales, default=None))
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,13 @@ def presentation_to_json(x):
                      "coeff": fraction_to_str(c)}
                     for mor, c in entry.terms]})
         cols.append(entries)
-    return {"family": family_to_json(x.family),
-            "generators": [group_to_json(g) for g in x.generators],
-            "relation_sources": [group_to_json(h) for h in x.rel_sources],
-            "relations": cols}
+    out = {"family": family_to_json(x.family),
+           "generators": [group_to_json(g) for g in x.generators],
+           "relation_sources": [group_to_json(h) for h in x.rel_sources],
+           "relations": cols}
+    if x.scale is not None:
+        out["scale"] = x.scale
+    return out
 
 
 def presentation_from_json(d):
@@ -127,7 +130,11 @@ def _presentation_from_json(d):
             entries.append(MorphismCombination.make(h, gens[i], terms)
                            if terms else None)
         columns.append(tuple(entries))
-    return PresentedObject(fam, gens, rel_sources, tuple(columns))
+    scale = d.get("scale")
+    if scale is not None and (type(scale) is not int or scale < 1):
+        raise ParseError(f"presentation scale must be a positive integer, "
+                         f"got {scale!r}")
+    return PresentedObject(fam, gens, rel_sources, tuple(columns), scale)
 
 
 def based_space_to_json(sp):

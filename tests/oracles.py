@@ -190,6 +190,27 @@ def relation_span_bruteforce(x, t):
     return coker
 
 
+def simple_presentation_bruteforce(family, g, scale):
+    """The simple object at g presented up to `scale` without orbits: a
+    relation psi - id for every automorphism psi of g and one relation
+    source per surjection t -> g from every larger t up to the scale."""
+    from repstab.groups import enumerate_epis, identity_morphism
+    from repstab.presentations import MorphismCombination, PresentedObject
+    ident = identity_morphism(g)
+    sources, columns = [], []
+    for psi in enumerate_epis(g, g):
+        if psi != ident:
+            sources.append(g)
+            columns.append((MorphismCombination.make(
+                g, g, [(psi, 1), (ident, -1)]),))
+    for t in family.members(max_order=scale):
+        if t.order > g.order:
+            for alpha in enumerate_epis(t, g):
+                sources.append(t)
+                columns.append((MorphismCombination.make(t, g, [(alpha, 1)]),))
+    return PresentedObject(family, (g,), sources, columns, scale)
+
+
 def first_noninjective_bruteforce(x, a, b):
     """The first surjection b -> a whose pullback X(a) -> X(b) has a
     kernel, walking every surjection and ranking each structure map

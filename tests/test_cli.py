@@ -242,14 +242,32 @@ def test_usage_and_input_errors(capsys, tmp_path):
     ["resolve", "--object", "t(1)", "--bound", "0"],
     ["omega", "--object", "e(C2)", "--n", "0", "--family", "E2"],
     ["wqo-check", "--size", "two"],
+    ["eval", "--object", "s(C2)", "--group", "C2^2", "--scale", "-1"],
+    ["omega", "--object", "e(C2)", "--n", "2", "--family", "E2",
+     "--scale", "0"],
 ], ids=["torsion", "stability-scan", "omega", "wqo-check", "tau-scan",
-        "resolve", "omega-n", "not-an-integer"])
+        "resolve", "omega-n", "not-an-integer", "eval-scale", "omega-scale"])
 def test_vacuous_counts_are_usage_errors(argv, capsys, tmp_path):
     # a count that leaves nothing to compute is refused, not answered
     # with an empty table, a vacuous verdict or a traceback
     code, out, err = run_cli([*argv, "--cache", str(tmp_path)], capsys)
     assert code == 1 and out == ""
     assert "must be at least" in err or "invalid count value" in err
+
+
+def test_evaluation_above_the_scale_is_typed_error(capsys, tmp_path):
+    # s(C2) presented to order 2 lacks the relations that kill it at C2^2
+    argv = ["eval", "--object", "s(C2)", "--group", "C2^2",
+            "--cache", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["dim"] == 0
+    code, out, err = run_cli([*argv, "--scale", "2"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "scale-exceeded"
+    # a free object is exact at every order, whatever the scale
+    code, out, _ = run_cli(["eval", "--object", "e(C2^2)", "--group", "C2^5",
+                            "--scale", "2", "--cache", str(tmp_path)], capsys)
+    assert code == 0 and json.loads(out)["dim"] == 930
 
 
 def test_output_file(tmp_path, capsys):
@@ -372,7 +390,8 @@ def _object_files(tmp_path):
     long_col = dict(good, relations=[c + c for c in good["relations"]])
     files = {"missing": tmp_path / "missing.json"}
     for name, blob in (("good", good), ("no-key", no_gens),
-                       ("extra-column", extra_col), ("long-column", long_col)):
+                       ("extra-column", extra_col), ("long-column", long_col),
+                       ("bad-scale", dict(good, scale=0))):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(blob))
     files["malformed"] = tmp_path / "malformed.json"
@@ -381,7 +400,7 @@ def _object_files(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing", "malformed", "no-key",
-                                  "extra-column", "long-column"])
+                                  "extra-column", "long-column", "bad-scale"])
 def test_bad_object_file_is_parse_error(case, tmp_path, capsys):
     files = _object_files(tmp_path)
     code, out, _ = run_cli(["eval", "--object", str(files["good"]),

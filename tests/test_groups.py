@@ -204,21 +204,47 @@ def test_automorphisms_examples():
     assert automorphisms(C4) == enumerate_epis(C4, C4)
 
 
+def _generated(gens, g):
+    """Matrices of the group the automorphisms `gens` generate, by BFS.
+
+    A matrix is kept as the tuple of its columns, the images of the
+    generators of g, and each automorphism acts on them through a table
+    of its values on the elements of g.
+    """
+    tables = [{x: psi(x) for x in g.elements()} for psi in gens]
+    start = tuple(zip(*identity_morphism(g).matrix))
+    reached, frontier = {start}, [start]
+    while frontier:
+        cols = frontier.pop()
+        for table in tables:
+            h = tuple(table[c] for c in cols)
+            if h not in reached:
+                reached.add(h)
+                frontier.append(h)
+    return {tuple(zip(*cols)) for cols in reached}
+
+
 @pytest.mark.parametrize("g", [C2, C4, C22, C42, C8, cyclic(3, 2),
                                group(3, [1, 1]), group(2, [2, 2])])
 def test_automorphism_generators_generate(g):
-    gens = automorphism_generators(g)
     full = {f.matrix for f in automorphisms(g)}
-    reached = {identity_morphism(g).matrix}
-    frontier = [identity_morphism(g)]
-    while frontier:
-        f = frontier.pop()
-        for psi in gens:
-            h = psi @ f
-            if h.matrix not in reached:
-                reached.add(h.matrix)
-                frontier.append(h)
-    assert reached == full
+    assert _generated(automorphism_generators(g), g) == full
+
+
+@pytest.mark.parametrize("g", [C23, group(3, [1, 1, 1]), group(2, [2, 2, 2]),
+                               group(2, [1, 1, 1, 1]), group(2, [3, 3]),
+                               group(3, [2, 2])],
+                         ids=["C2^3", "C3^3", "C4^3", "C2^4", "C8^2", "C9^2"])
+def test_homocyclic_generators_generate(g):
+    # |Aut(g)| = |Epi(g, g)| in closed form, so nothing lists Aut(g)
+    assert len(_generated(automorphism_generators(g), g)) == count_epis(g, g)
+
+
+def test_homocyclic_generators_at_most_four():
+    for p in (2, 3, 5):
+        for g in all_abelian(p).members(729):
+            if g.rank >= 2 and len(set(g.exponents)) == 1:
+                assert len(automorphism_generators(g)) <= 4, g
 
 
 def test_composition_associative_and_canonical():
@@ -317,8 +343,13 @@ def test_orbit_structure_matches_full_automorphisms():
         want = orbits_bruteforce(
             g, mats, lambda f, a: compose_bruteforce(f, a, mods))
         assert _partition(mats, [lookup[m] for m in mats]) == want, (g, t)
-        # every representative lies in the orbit it labels
+        # every representative lies in the orbit it labels and is its
+        # first member in enumeration order
         assert [lookup[r.matrix] for r in reps] == list(range(len(reps)))
+        first = {}
+        for m in mats:
+            first.setdefault(lookup[m], m)
+        assert [r.matrix for r in reps] == [first[o] for o in range(len(reps))]
         checked += 1
     assert checked == 53
 

@@ -16,10 +16,11 @@ from repstab.presentations import (PresentedObject,
                                    quotient_by_elements, torsion_example_a,
                                    torsion_example_b, element_class,
                                    _eval_data)
-from repstab.errors import NotInFamily, NotSurjective
+from repstab.errors import NotInFamily, NotSurjective, ScaleExceeded
 from repstab.cli import parse_object_spec
 
-from oracles import dense_evaluate_dim, relation_span_bruteforce
+from oracles import (dense_evaluate_dim, relation_span_bruteforce,
+                     simple_presentation_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -59,8 +60,8 @@ def test_evaluation_matches_dense_bruteforce():
 
 @pytest.mark.parametrize("spec,scale,bound", [
     ("misc-a(2)", 16, 64), ("misc-b", 16, 64), ("misc-a(3)", 16, 81),
-    ("misc-a(5)", 16, 125), ("s(C2)", 8, 16), ("s(C2^2)", 8, 16),
-    ("s(C3)", 9, 27), ("s(C4xC2)", 8, 16), ("c(C4)", 16, 16),
+    ("misc-a(5)", 16, 125), ("s(C2)", 16, 16), ("s(C2^2)", 16, 16),
+    ("s(C3)", 27, 27), ("s(C4xC2)", 16, 16), ("c(C4)", 16, 16),
     ("c(C2^2)", 16, 16), ("c(C9)", 16, 27), ("c(C4xC2)", 16, 16),
     ("t(1)", 16, 16), ("unit", 16, 16), ("e(C4)", 16, 16)])
 def test_relation_span_matches_bruteforce(spec, scale, bound):
@@ -70,6 +71,36 @@ def test_relation_span_matches_bruteforce(spec, scale, bound):
     for t in x.family.members(bound):
         assert _eval_data(x, t).coker.pivots == \
             relation_span_bruteforce(x, t).pivots, (spec, t)
+
+
+@pytest.mark.parametrize("spec,scale", [
+    ("s(C2)", 16), ("s(C2^2)", 8), ("s(C3)", 27), ("s(C4xC2)", 16)])
+def test_orbit_reduced_simple_matches_exhaustive(spec, scale):
+    # one relation source per Aut(t)-orbit of Epi(t, g) spans what one
+    # source per surjection and psi - id for every automorphism span
+    x = parse_object_spec(spec, scale=scale)
+    full = simple_presentation_bruteforce(x.family, x.generators[0], scale)
+    assert len(x.rel_sources) < len(full.rel_sources)
+    for t in x.family.members(scale):
+        assert _eval_data(x, t).coker.pivots == \
+            relation_span_bruteforce(full, t).pivots, (spec, t)
+
+
+def test_evaluation_above_the_scale_is_refused():
+    for spec in ("s(C2)", "t(1)"):
+        x = parse_object_spec(spec, scale=2)
+        assert x.scale == 2
+        evaluate_dim(x, C2)
+        with pytest.raises(ScaleExceeded):
+            evaluate_dim(x, C4)
+        with pytest.raises(ScaleExceeded):
+            evaluate_dim(restrict_presentation(x, cyclic_family(2)), C4)
+    # free and coinvariant fixtures are exact at every order
+    for spec in ("e(C2^2)", "c(C2^2)", "misc-b"):
+        x = parse_object_spec(spec, scale=2)
+        assert x.scale is None
+        assert evaluate_dim(x, group(2, [1] * 5)) == \
+            evaluate_dim(parse_object_spec(spec), group(2, [1] * 5))
 
 
 def test_evaluate_generator_example():
@@ -167,7 +198,7 @@ def test_builtin_e_c_unit():
 
 
 def test_builtin_simple():
-    s = builtin_to_presentation(BuiltinObject("s_triv", Z2, group=C2), 4)
+    s = builtin_to_presentation(BuiltinObject("s_triv", Z2, group=C2), 8)
     for g in Z2.members(8):
         assert evaluate_dim(s, g) == (1 if g == C2 else 0)
 

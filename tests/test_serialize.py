@@ -6,7 +6,7 @@ import pytest
 from repstab.groups import group, cyclic, make_morphism
 from repstab.families import all_abelian, cyclic_family, truncated
 from repstab.presentations import torsion_example_a, torsion_example_b, \
-    free_object, evaluate_dim
+    free_object, evaluate_dim, builtin_to_presentation, BuiltinObject
 from repstab import serialize
 from repstab.errors import ParseError
 
@@ -43,11 +43,13 @@ def test_fraction_strings():
 
 def test_presentation_roundtrip():
     for x in [torsion_example_a(3), torsion_example_b(),
-              free_object(all_abelian(2), cyclic(2, 2))]:
+              free_object(all_abelian(2), cyclic(2, 2)),
+              builtin_to_presentation(BuiltinObject(
+                  "s_triv", all_abelian(2), group=cyclic(2, 1)), 8)]:
         blob = serialize.presentation_to_json(x)
         back = serialize.presentation_from_json(
             json.loads(json.dumps(blob)))
-        assert back == x
+        assert back == x and back.scale == x.scale
         for g in x.family.members(8):
             assert evaluate_dim(back, g) == evaluate_dim(x, g)
         # byte-stable double serialization

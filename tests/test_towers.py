@@ -97,7 +97,7 @@ def _stage_cases():
         ("misc-b-E2", restrict_presentation(torsion_example_b(), E2), E2, 4),
         ("t(1)-Cpinf:2", builtin_to_presentation(
             BuiltinObject("t_triv", cyclic_family(2),
-                          group=trivial_group(2)), 8), cyclic_family(2), 5),
+                          group=trivial_group(2)), 32), cyclic_family(2), 5),
         ("s(C2)-E2", builtin_to_presentation(
             BuiltinObject("s_triv", E2, group=C2), 16), E2, 4),
         ("c(C2^2)-E2", builtin_to_presentation(
