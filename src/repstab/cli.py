@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import RepstabError, ParseError, LawViolation
+from .errors import RepstabError, ParseError, LawViolation, UsageError
 from . import serialize
 
 
@@ -297,8 +297,16 @@ def _at_least(least):
     return count
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise UsageError, so they are
+    reported as typed JSON like every other refusal."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="repstab",
         description="exact computations with families of abelian p-groups")
     shared = argparse.ArgumentParser(add_help=False)
@@ -308,7 +316,7 @@ def build_parser():
     shared.add_argument("--out", default=None,
                         help="output file (default stdout)")
     sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=lambda **kw: argparse.ArgumentParser(
+                            parser_class=lambda **kw: _Parser(
                                 parents=[shared], **kw))
 
     def common(p, with_family=True):
@@ -390,13 +398,11 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors; usage errors are 1
-        return 1 if exc.code else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:   # --help
+            return 1 if exc.code else 0
         return args.fn(args)
     except RepstabError as exc:
         sys.stderr.write(serialize.dumps(

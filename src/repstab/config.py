@@ -14,6 +14,10 @@ DESK_SCALE_ORDER = 4096
 # walk.
 MAX_EPI_CANDIDATES = 2**24
 
+# Largest dense counit matrix (rows times columns) a resolution or explicit
+# presentation level will build and row reduce.
+MAX_COUNIT_ENTRIES = 2**16
+
 
 def check_order(order, limit=None, what="enumeration"):
     bound = DESK_SCALE_ORDER if limit is None else limit

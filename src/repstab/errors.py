@@ -90,5 +90,11 @@ class ParseError(RepstabError):
         self.position = position
 
 
+class UsageError(RepstabError):
+    """Raised on a malformed command line."""
+
+    code = "usage-error"
+
+
 class CacheCorrupt(UserWarning):
     """Warning emitted when a cache entry cannot be trusted; it is recomputed."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 import math
+from operator import mul
 
 from . import config
 from .errors import (DivisibilityViolation, NotSurjective, ScaleExceeded,
@@ -172,21 +173,29 @@ class Morphism:
         if other.target != self.source:
             raise ShapeMismatch(
                 f"cannot compose {self.source!r}<-{other.target!r}")
-        mods = self.target.moduli()
-        k = self.source.rank
-        n = other.source.rank
-        rows = tuple(
-            tuple(sum(self.matrix[i][t] * other.matrix[t][j]
-                      for t in range(k)) % m for j in range(n))
-            for i, m in enumerate(mods)
-        )
-        return Morphism(other.source, self.target, rows)
+        return Morphism(other.source, self.target,
+                        _compose(self.matrix, other.columns,
+                                 self.target.moduli()))
+
+    @property
+    def columns(self):
+        """The matrix column by column, one per source generator."""
+        return (tuple(zip(*self.matrix)) if self.matrix
+                else ((),) * self.source.rank)
 
     def sort_key(self):
         return tuple(v for row in self.matrix for v in row)
 
     def __repr__(self):
         return f"Morphism({self.source!r}->{self.target!r}, {self.matrix})"
+
+
+def _compose(rows, cols, mods):
+    """Entry (i, j) is rows[i] . cols[j] mod mods[i]: the matrix of f o g
+    is _compose(f.matrix, g.columns, f.target.moduli()).  Label lookups
+    call it directly and build no Morphism."""
+    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols)
+                 for row, m in zip(rows, mods))
 
 
 def make_morphism(source, target, matrix):

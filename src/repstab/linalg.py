@@ -1,6 +1,9 @@
 """Exact rational linear algebra for evaluating functor presentations.
 
-Everything is over Q with fractions.Fraction; no floats anywhere.  The
+Everything is exact over Q; no floats anywhere.  Dense matrices
+(`QMatrix`, `rref_kernel`) hold fractions.Fraction entries.  `StreamCoker`,
+which evaluation runs on, keeps primitive integer pivots and builds
+Fractions only in the coordinates that `reduce` and `project` return.  The
 cokernel convention is fixed once: the surviving basis of target/im(M) is
 the first maximal independent subset of the ambient basis in label order.
 Pivot columns therefore always carry their pivot at the *largest* involved
@@ -11,6 +14,7 @@ tests).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvariantViolation
 
@@ -154,39 +158,40 @@ def rref_kernel(mat):
     return kernel, free
 
 
-class StreamCoker:
-    """Incremental column echelon with bottom-most pivots.
+_ZERO = Fraction(0)
 
-    Feed sparse columns (dicts row -> Fraction); afterwards `surviving`
-    lists the ambient rows whose classes form the canonical cokernel
-    basis and `project` maps any vector to its coordinates on them.
+
+class StreamCoker:
+    """Incremental column echelon with bottom-most pivots, over the integers.
+
+    Feed sparse columns (dicts row -> int or Fraction); afterwards
+    `surviving` lists the ambient rows whose classes form the canonical
+    cokernel basis and `project` maps any vector to its coordinates on them.
+    Each pivot is a primitive integer column: positive at its own row, zero
+    at every other pivot row, entries with gcd 1.  That is the unique
+    integer multiple of the normalized echelon column, so `pivots` depends
+    only on the span.  Offered columns are cleared of denominators once and
+    reduced by cross-multiplication (Bareiss, Math. Comp. 22, 1968).
     """
 
     def __init__(self, nrows):
         self.nrows = nrows
-        self.pivots = {}  # pivot row -> sparse column, normalized
+        self.pivots = {}  # pivot row -> primitive integer sparse column
+        self._surviving = None
 
     def offer(self, col):
         """Insert a column; returns True if it increased the rank."""
-        c = self.reduce(col)
+        c, _den = self._reduce(col)
         if not c:
             return False
         prow = max(c)
-        inv = 1 / c[prow]
-        c = {r: v * inv for r, v in c.items()}
-        for other in self.pivots.values():
-            f = other.get(prow)
-            if f:
-                for rr, v in c.items():
-                    if rr == prow:
-                        other.pop(prow, None)
-                    else:
-                        nv = other.get(rr, Fraction(0)) - f * v
-                        if nv:
-                            other[rr] = nv
-                        else:
-                            other.pop(rr, None)
+        c = _primitive(c, prow)
+        for r, other in list(self.pivots.items()):
+            if prow in other:
+                _eliminate(other, c, prow)
+                self.pivots[r] = _primitive(other, r)
         self.pivots[prow] = c
+        self._surviving = None
         return True
 
     def close_under(self, frontier, actions):
@@ -212,27 +217,57 @@ class StreamCoker:
         return len(self.pivots)
 
     def surviving(self):
-        return [r for r in range(self.nrows) if r not in self.pivots]
+        if self._surviving is None:
+            self._surviving = tuple(r for r in range(self.nrows)
+                                    if r not in self.pivots)
+        return self._surviving
+
+    def _reduce(self, vec):
+        """(c, den): the canonical representative of the class of `vec`
+        is c / den, with c an integer sparse column free of pivot rows."""
+        den = lcm(*(v.denominator for v in vec.values()))
+        c = {r: v.numerator * (den // v.denominator)
+             for r, v in vec.items() if v}
+        for r in [r for r in c if r in self.pivots]:
+            den *= _eliminate(c, self.pivots[r], r)
+        return c, den
 
     def reduce(self, vec):
         """Canonical representative of the class of `vec` (sparse dict)."""
-        c = dict(vec)
-        for r in [r for r in c if r in self.pivots]:
-            f = c.pop(r)
-            if f:
-                for rr, v in self.pivots[r].items():
-                    if rr != r:
-                        nv = c.get(rr, Fraction(0)) - f * v
-                        if nv:
-                            c[rr] = nv
-                        else:
-                            c.pop(rr, None)
-        return {r: v for r, v in c.items() if v}
+        c, den = self._reduce(vec)
+        return {r: Fraction(v, den) for r, v in c.items()}
 
     def project(self, vec):
         """Coordinates of the class of `vec` on the surviving basis."""
-        red = self.reduce(vec)
-        return tuple(red.get(r, Fraction(0)) for r in self.surviving())
+        c, den = self._reduce(vec)
+        return tuple(Fraction(c[r], den) if r in c else _ZERO
+                     for r in self.surviving())
+
+
+def _eliminate(c, piv, r):
+    """Replace c by a * c - b * piv in place, for the least a > 0 that
+    cancels row r; returns a."""
+    g = gcd(piv[r], c[r])
+    a, b = piv[r] // g, c[r] // g
+    if a != 1:
+        for rr in c:
+            c[rr] *= a
+    for rr, v in piv.items():
+        nv = c.get(rr, 0) - b * v
+        if nv:
+            c[rr] = nv
+        else:
+            del c[rr]
+    return a
+
+
+def _primitive(c, prow):
+    """The column c divided by the gcd of its entries, signed so that its
+    entry at prow is positive."""
+    g = gcd(*c.values())
+    if c[prow] < 0:
+        g = -g
+    return c if g == 1 else {r: v // g for r, v in c.items()}
 
 
 @dataclass(frozen=True)
@@ -263,16 +298,9 @@ def snf_reduce(m):
         coker.offer({i: m.entries[i][j] for i in range(m.rows)
                      if m.entries[i][j]})
     surv = coker.surviving()
-    proj_rows = []
-    for r in surv:
-        proj_rows.append([Fraction(0)] * m.rows)
-    for amb in range(m.rows):
-        coords = coker.project({amb: Fraction(1)})
-        for k in range(len(surv)):
-            proj_rows[k][amb] = coords[k]
-    proj = CokernelProjection(tuple(surv),
-                              QMatrix.from_rows(proj_rows) if surv
-                              else QMatrix.zeros(0, m.rows))
+    cols = [coker.project({amb: 1}) for amb in range(m.rows)]
+    proj = CokernelProjection(surv, QMatrix(len(surv), m.rows,
+                                            tuple(zip(*cols))))
     if rank != coker.rank:
         raise InvariantViolation(
             f"row rank {rank} disagrees with column rank {coker.rank}")
@@ -319,23 +347,20 @@ def colimit_of_diagram(diagram, validate=False):
     coker = StreamCoker(total)
     for s, t, mat in diagram.arrows:
         for j in range(diagram.nodes[s].dim):
-            col = {offsets[s] + j: Fraction(1)}
+            col = {offsets[s] + j: 1}
             for i in range(mat.rows):
                 v = mat.entries[i][j]
                 if v:
-                    col[offsets[t] + i] = col.get(offsets[t] + i,
-                                                  Fraction(0)) - v
-            coker.offer({k: v for k, v in col.items() if v})
+                    col[offsets[t] + i] = col.get(offsets[t] + i, 0) - v
+            coker.offer(col)
     surv = coker.surviving()
     out_space = BasedSpace(len(surv), tuple(labels[r] for r in surv))
     structure = []
     for idx, node in enumerate(diagram.nodes):
-        cols = []
-        for j in range(node.dim):
-            cols.append(coker.project({offsets[idx] + j: Fraction(1)}))
-        rows = [tuple(cols[j][k] for j in range(node.dim))
-                for k in range(len(surv))]
-        structure.append(QMatrix(len(surv), node.dim, tuple(rows)))
+        cols = [coker.project({offsets[idx] + j: 1})
+                for j in range(node.dim)]
+        structure.append(QMatrix(len(surv), node.dim, tuple(
+            tuple(c[k] for c in cols) for k in range(len(surv)))))
     return out_space, structure
 
 
@@ -344,13 +369,8 @@ def coinvariants(v, action):
     coker = StreamCoker(v.dim)
     for mat in action:
         for j in range(v.dim):
-            col = {}
-            for i in range(v.dim):
-                val = mat.entries[i][j] - (1 if i == j else 0)
-                if val:
-                    col[i] = Fraction(val)
-            if col:
-                coker.offer(col)
+            coker.offer({i: mat.entries[i][j] - (i == j)
+                         for i in range(v.dim)})
     surv = coker.surviving()
     return BasedSpace(len(surv), tuple(v.labels[r] for r in surv))
 
@@ -358,12 +378,6 @@ def coinvariants(v, action):
 def span_rank(dim, vectors):
     """Rank of a list of vectors (tuples/dicts) in Q^dim."""
     coker = StreamCoker(dim)
-    n = 0
     for vec in vectors:
-        if isinstance(vec, dict):
-            col = {i: Fraction(v) for i, v in vec.items() if v}
-        else:
-            col = {i: Fraction(v) for i, v in enumerate(vec) if v}
-        if coker.offer(col):
-            n += 1
-    return n
+        coker.offer(vec if isinstance(vec, dict) else dict(enumerate(vec)))
+    return coker.rank

@@ -19,7 +19,7 @@ from .groups import (GroupType, make_morphism, identity_morphism,
                      enumerate_epis, first_epi, count_epis, is_surjective,
                      quotient_exists, trivial_group, cyclic,
                      aut_transitive_on_epis, automorphism_generators,
-                     orbit_roots)
+                     orbit_roots, _compose)
 from .linalg import BasedSpace, QMatrix, StreamCoker, rref_kernel
 from .subgroups import enumerate_subgroups, quotient
 from .families import Family
@@ -101,6 +101,9 @@ class PresentedObject:
 
 
 class EvalData:
+    """X(t) with its labels (i, u), the index (i, u.matrix) -> position of
+    each label, and the relation span's cokernel."""
+
     __slots__ = ("labels", "index", "coker", "space")
 
     def __init__(self, labels, index, coker, space):
@@ -118,6 +121,15 @@ def _check_in_range(x, t):
                            what="evaluation above the presentation scale")
 
 
+def _pulled_back(x, index, labels, alpha):
+    """Positions under `index` of the labels (i, u o alpha), for the
+    labels (i, u) of x at the target of alpha."""
+    cols = alpha.columns
+    mods = [g.moduli() for g in x.generators]
+    return [index[(i, _compose(u.matrix, cols, mods[i]))]
+            for i, u in labels]
+
+
 def _eval_data(x, t, limit=None):
     _check_in_range(x, t)
     got = x._evals.get(t)
@@ -128,8 +140,9 @@ def _eval_data(x, t, limit=None):
     for i, g in enumerate(x.generators):
         for u in enumerate_epis(t, g):
             labels.append((i, u))
-    index = {lab: k for k, lab in enumerate(labels)}
+    index = {(i, u.matrix): k for k, (i, u) in enumerate(labels)}
     coker = StreamCoker(len(labels))
+    mods = [g.moduli() for g in x.generators]
     # The relation span is an Aut(t)-submodule: the column of beta o sigma
     # is the column of beta with each label (i, u) moved to (i, u o sigma).
     # When Aut(t) is transitive on every Epi(t, h), one surjection per
@@ -138,23 +151,24 @@ def _eval_data(x, t, limit=None):
     # the span.
     transitive = aut_transitive_on_epis(t)
     raised = []
-    for j, h in enumerate(x.rel_sources):
-        col_entries = x.columns[j]
+    for h, col_entries in zip(x.rel_sources, x.columns):
+        terms = [(i, mor.matrix, mods[i],
+                  coeff.numerator if coeff.denominator == 1 else coeff)
+                 for i, entry in enumerate(col_entries) if entry is not None
+                 for mor, coeff in entry.terms]
         betas = ((first_epi(t, h),) if transitive and quotient_exists(t, h)
                  else enumerate_epis(t, h))
         for beta in betas:
+            cols = beta.columns
             col = {}
-            for i, entry in enumerate(col_entries):
-                if entry is None:
-                    continue
-                for mor, coeff in entry.terms:
-                    k = index[(i, mor @ beta)]
-                    col[k] = col.get(k, Fraction(0)) + coeff
+            for i, rows, m, coeff in terms:
+                k = index[(i, _compose(rows, cols, m))]
+                col[k] = col.get(k, 0) + coeff
             col = {k: v for k, v in col.items() if v}
             if col and coker.offer(col):
                 raised.append(col)
     if transitive and raised:
-        perms = [[index[(i, u @ sigma)] for (i, u) in labels]
+        perms = [_pulled_back(x, index, labels, sigma)
                  for sigma in automorphism_generators(t)]
         coker.close_under(raised, [
             lambda col, perm=perm: {perm[k]: v for k, v in col.items()}
@@ -185,10 +199,8 @@ def structure_map(x, alpha, limit=None):
         raise NotSurjective("structure maps exist along surjections only")
     src = _eval_data(x, alpha.target, limit)   # X evaluated at the target
     dst = _eval_data(x, alpha.source, limit)
-    cols = []
-    for (i, u) in src.space.labels:
-        k = dst.index[(i, u @ alpha)]
-        cols.append(dst.coker.project({k: Fraction(1)}))
+    cols = [dst.coker.project({k: 1})
+            for k in _pulled_back(x, dst.index, src.space.labels, alpha)]
     rows = tuple(tuple(cols[j][r] for j in range(len(cols)))
                  for r in range(dst.space.dim))
     return QMatrix(dst.space.dim, src.space.dim, rows)
@@ -197,7 +209,7 @@ def structure_map(x, alpha, limit=None):
 def element_class(x, t, gen_index, epi):
     """Coordinates of the class of a presentation basis element [epi]."""
     data = _eval_data(x, t)
-    return data.coker.project({data.index[(gen_index, epi)]: Fraction(1)})
+    return data.coker.project({data.index[(gen_index, epi.matrix)]: 1})
 
 
 def indecomposables_Q(x, g, limit=None):
@@ -214,10 +226,7 @@ def indecomposables_Q(x, g, limit=None):
         _qt, proj = quotient(g, s)
         mat = structure_map(x, proj, limit)
         for j in range(mat.cols):
-            col = {i: mat.entries[i][j] for i in range(mat.rows)
-                   if mat.entries[i][j]}
-            if col:
-                coker.offer(col)
+            coker.offer(dict(enumerate(mat.column(j))))
     surv = coker.surviving()
     return BasedSpace(len(surv),
                       tuple(data.space.labels[r] for r in surv))
@@ -234,9 +243,7 @@ def filtration_L(x, n, g, limit=None):
         for alpha in enumerate_epis(g, h):
             mat = structure_map(x, alpha, limit)
             for j in range(mat.cols):
-                col = {i: mat.entries[i][j] for i in range(mat.rows)
-                       if mat.entries[i][j]}
-                if col and coker.offer(col):
+                if coker.offer(dict(enumerate(mat.column(j)))):
                     picked.append((h, alpha, j))
     return BasedSpace(len(picked), tuple(picked))
 
@@ -302,13 +309,11 @@ def functor_of_presentation(x):
     def push_fn(alpha, vec):
         src = _eval_data(x, alpha.target)
         dst = _eval_data(x, alpha.source)
-        acc = {}
-        for pos, val in enumerate(vec):
-            if val:
-                i, u = src.space.labels[pos]
-                k = dst.index[(i, u @ alpha)]
-                acc[k] = acc.get(k, Fraction(0)) + val
-        return dst.coker.project({k: v for k, v in acc.items() if v})
+        # u -> u o alpha is injective, so no two labels land together
+        support = [pos for pos, val in enumerate(vec) if val]
+        return dst.coker.project(dict(zip(_pulled_back(
+            x, dst.index, [src.space.labels[pos] for pos in support], alpha),
+            (vec[pos] for pos in support))))
 
     return ExplicitFunctor(x.family,
                            lambda t: evaluate(x, t),
@@ -370,8 +375,12 @@ def _cover(fun, bound, minimal):
 
 def _counit_matrix(fun, gens, t):
     """Matrix of sum e_{G_k} -> fun at t, with the free basis labeled
-    (k, alpha) for alpha in Epi(t, G_k)."""
+    (k, alpha) for alpha in Epi(t, G_k).  Its entry count is known in
+    closed form before anything is built, and refused above the bound."""
     sp = fun.space(t)
+    config.check_candidates(
+        sp.dim * sum(count_epis(t, g) for g, _v in gens),
+        config.MAX_COUNIT_ENTRIES, what="counit matrix")
     labels = []
     cols = []
     for k, (g, vec) in enumerate(gens):

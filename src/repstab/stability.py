@@ -19,7 +19,7 @@ from .linalg import (BasedSpace, QMatrix, FinitePosetDiagram,
                      colimit_of_diagram, StreamCoker, span_rank, rref_kernel)
 from .subgroups import quotient, normal_quotient_poset, q_leq_n
 from .presentations import (evaluate, evaluate_dim, structure_map,
-                            _eval_data, restrict_presentation,
+                            _eval_data, _pulled_back, restrict_presentation,
                             _orbit_structure)
 from .towers import colimit_tower_stages
 
@@ -394,10 +394,8 @@ def _first_noninjective(x, a, b, dims, limit=None):
     data_b = _eval_data(x, b, limit)
     labels_a = evaluate(x, a, limit).labels
     alpha = _scan_pullback(b, a)
-    cols = []
-    for (i, u) in labels_a:
-        k = data_b.index[(i, u @ alpha)]
-        cols.append(data_b.coker.project({k: Fraction(1)}))
+    cols = [data_b.coker.project({k: 1})
+            for k in _pulled_back(x, data_b.index, labels_a, alpha)]
     return alpha if span_rank(db, cols) < da else None
 
 
@@ -418,9 +416,8 @@ def _jointly_surjective(x, a, b, dims, limit=None):
     alpha = _scan_pullback(b, a)
     coker = StreamCoker(db)
     raised = []
-    for (i, u) in labels_a:
-        k = data_b.index[(i, u @ alpha)]
-        col = data_b.coker.project({k: Fraction(1)})
+    for k in _pulled_back(x, data_b.index, labels_a, alpha):
+        col = data_b.coker.project({k: 1})
         col = {t: v for t, v in enumerate(col) if v}
         if coker.offer(col):
             if coker.rank == db:

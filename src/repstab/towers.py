@@ -23,7 +23,6 @@ of e_i.  The evaluate-and-reduce route stays in the test oracles.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import TowerUnavailable, NotStabilized, InvariantViolation
 from .groups import (GroupType, make_morphism, aut_transitive_on_epis,
@@ -79,7 +78,7 @@ class _Stage:
         self.coker = StreamCoker(len(x.generators))
         for i, gen in enumerate(x.generators):
             if not quotient_exists(g, gen):
-                self.coker.offer({i: Fraction(1)})
+                self.coker.offer({i: 1})
         for h, col in zip(x.rel_sources, x.columns):
             if quotient_exists(g, h):
                 self.coker.offer({i: sum(c for _mor, c in entry.terms)
@@ -97,7 +96,7 @@ class _Stage:
 
 def _connecting(lo, hi):
     """Matrix of the induced coinvariants map: e_i goes to e_i."""
-    cols = [hi.project([(i, Fraction(1))]) for i in lo.coker.surviving()]
+    cols = [hi.project([(i, 1)]) for i in lo.coker.surviving()]
     return QMatrix(hi.dim, lo.dim,
                    tuple(tuple(c[r] for c in cols) for r in range(hi.dim)))
 

@@ -166,19 +166,109 @@ def count_surjective_fp_matrices(p, m, n):
     return walk(0, {0})
 
 
+class FractionCoker:
+    """Incremental column echelon with bottom-most pivots, over Fraction.
+
+    The rational elimination `repstab.linalg.StreamCoker` replaced by
+    integer pivots, kept as its oracle: pivots are normalized to 1.
+
+    Feed sparse columns (dicts row -> Fraction); afterwards `surviving`
+    lists the ambient rows whose classes form the canonical cokernel
+    basis and `project` maps any vector to its coordinates on them.
+    """
+
+    def __init__(self, nrows):
+        self.nrows = nrows
+        self.pivots = {}  # pivot row -> sparse column, normalized
+
+    def offer(self, col):
+        """Insert a column; returns True if it increased the rank."""
+        c = self.reduce(col)
+        if not c:
+            return False
+        prow = max(c)
+        inv = 1 / c[prow]
+        c = {r: v * inv for r, v in c.items()}
+        for other in self.pivots.values():
+            f = other.get(prow)
+            if f:
+                for rr, v in c.items():
+                    if rr == prow:
+                        other.pop(prow, None)
+                    else:
+                        nv = other.get(rr, Fraction(0)) - f * v
+                        if nv:
+                            other[rr] = nv
+                        else:
+                            other.pop(rr, None)
+        self.pivots[prow] = c
+        return True
+
+    def close_under(self, frontier, actions):
+        """Grow the span until every action maps it into itself.
+
+        `frontier` holds columns already in the span; each action maps a
+        sparse column to a sparse column.  Every column that raises the
+        rank is queued and its images offered in turn, so afterwards the
+        span is spanned by columns whose images all lie in it: it is
+        closed under the actions, and under the finite group they
+        generate.
+        """
+        frontier = list(frontier)
+        while frontier and self.rank < self.nrows:
+            col = frontier.pop()
+            for act in actions:
+                img = act(col)
+                if self.offer(img):
+                    frontier.append(img)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def surviving(self):
+        return [r for r in range(self.nrows) if r not in self.pivots]
+
+    def reduce(self, vec):
+        """Canonical representative of the class of `vec` (sparse dict)."""
+        c = dict(vec)
+        for r in [r for r in c if r in self.pivots]:
+            f = c.pop(r)
+            if f:
+                for rr, v in self.pivots[r].items():
+                    if rr != r:
+                        nv = c.get(rr, Fraction(0)) - f * v
+                        if nv:
+                            c[rr] = nv
+                        else:
+                            c.pop(rr, None)
+        return {r: v for r, v in c.items() if v}
+
+    def project(self, vec):
+        """Coordinates of the class of `vec` on the surviving basis."""
+        red = self.reduce(vec)
+        return tuple(red.get(r, Fraction(0)) for r in self.surviving())
+
+
+def normalized_pivots(coker):
+    """The pivot columns of a StreamCoker or FractionCoker, each scaled to
+    1 at its pivot row: equal exactly when the two spans are equal."""
+    return {r: {rr: Fraction(v) / col[r] for rr, v in col.items()}
+            for r, col in coker.pivots.items()}
+
+
 def relation_span_bruteforce(x, t):
     """The relation span of x at t, one surjection at a time.
 
     Offers the relation column of every surjection t -> h for every
     relation source h, with no use of the automorphism action, and returns
-    the resulting StreamCoker.
+    the resulting FractionCoker.
     """
     from repstab.groups import enumerate_epis
-    from repstab.linalg import StreamCoker
     labels = [(i, u) for i, g in enumerate(x.generators)
               for u in enumerate_epis(t, g)]
     index = {lab: k for k, lab in enumerate(labels)}
-    coker = StreamCoker(len(labels))
+    coker = FractionCoker(len(labels))
     for h, entries in zip(x.rel_sources, x.columns):
         for beta in enumerate_epis(t, h):
             col = {}

@@ -222,8 +222,9 @@ def test_framing_factor_command(capsys):
 
 
 def test_usage_and_input_errors(capsys, tmp_path):
-    code, _, _ = run_cli(["no-such-command"], capsys)
-    assert code == 1
+    code, out, err = run_cli(["no-such-command"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "usage-error"
     code2, _, err = run_cli(["eval", "--object", "misc-b", "--group", "C6",
                              "--cache", str(tmp_path)], capsys)
     assert code2 == 1
@@ -252,6 +253,7 @@ def test_vacuous_counts_are_usage_errors(argv, capsys, tmp_path):
     # with an empty table, a vacuous verdict or a traceback
     code, out, err = run_cli([*argv, "--cache", str(tmp_path)], capsys)
     assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "usage-error"
     assert "must be at least" in err or "invalid count value" in err
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from repstab.linalg import (QMatrix, FinitePosetDiagram, space,
                             snf_reduce, colimit_of_diagram, coinvariants,
                             StreamCoker, rref_kernel)
 
-from oracles import dense_rank
+from oracles import FractionCoker, dense_rank, normalized_pivots
 
 
 def test_snf_reduce_examples():
@@ -132,6 +133,56 @@ def test_stream_coker_matches_snf_reduce():
                       if rows[i][j]})
         assert sc.rank == rank
         assert tuple(sc.surviving()) == proj.indices
+
+
+@st.composite
+def coker_inputs(draw):
+    """Sparse columns with negative and non-integral entries, a zero
+    column and repeats, in random order; test vectors; permutations."""
+    n = draw(st.integers(1, 7))
+    entry = st.fractions(-4, 4, max_denominator=5)
+    column = st.dictionaries(st.integers(0, n - 1), entry, max_size=n)
+    cols = draw(st.lists(column, max_size=8))
+    if cols:
+        cols += draw(st.lists(st.sampled_from(cols), max_size=3))
+    cols.append({})
+    order = draw(st.permutations(range(len(cols))))
+    vecs = draw(st.lists(column, min_size=1, max_size=3))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=2))
+    return n, [cols[i] for i in order], vecs, perms
+
+
+def _assert_same_coker(fast, slow, vecs):
+    assert fast.rank == slow.rank
+    assert tuple(fast.surviving()) == tuple(slow.surviving())
+    assert normalized_pivots(fast) == normalized_pivots(slow)
+    for r, col in fast.pivots.items():
+        # canonical integer pivots: primitive, positive at the bottom-most
+        # row, zero at every other pivot row
+        assert all(type(v) is int for v in col.values())
+        assert max(col) == r and col[r] > 0
+        assert math.gcd(*col.values()) == 1
+        assert not any(q in col for q in fast.pivots if q != r)
+    for vec in vecs:
+        assert fast.reduce(vec) == slow.reduce(vec)
+        got = fast.project(vec)
+        assert got == slow.project(vec)
+        assert all(type(v) is Fraction for v in got)
+
+
+@given(coker_inputs())
+@settings(max_examples=200, deadline=None)
+def test_integer_coker_matches_fraction_oracle(data):
+    n, cols, vecs, perms = data
+    fast, slow = StreamCoker(n), FractionCoker(n)
+    for col in cols:
+        assert fast.offer(col) == slow.offer(col)
+    _assert_same_coker(fast, slow, vecs)
+    actions = [lambda c, perm=perm: {perm[k]: v for k, v in c.items()}
+               for perm in perms]
+    fast.close_under(cols, actions)
+    slow.close_under(cols, actions)
+    _assert_same_coker(fast, slow, vecs)
 
 
 _OPTIMIZED_CHECKS = """

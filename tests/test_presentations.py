@@ -19,8 +19,8 @@ from repstab.presentations import (PresentedObject,
 from repstab.errors import NotInFamily, NotSurjective, ScaleExceeded
 from repstab.cli import parse_object_spec
 
-from oracles import (dense_evaluate_dim, relation_span_bruteforce,
-                     simple_presentation_bruteforce)
+from oracles import (dense_evaluate_dim, normalized_pivots,
+                     relation_span_bruteforce, simple_presentation_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -69,8 +69,8 @@ def test_relation_span_matches_bruteforce(spec, scale, bound):
     # same echelon form as offering every surjection
     x = parse_object_spec(spec, scale=scale)
     for t in x.family.members(bound):
-        assert _eval_data(x, t).coker.pivots == \
-            relation_span_bruteforce(x, t).pivots, (spec, t)
+        assert normalized_pivots(_eval_data(x, t).coker) == \
+            normalized_pivots(relation_span_bruteforce(x, t)), (spec, t)
 
 
 @pytest.mark.parametrize("spec,scale", [
@@ -82,8 +82,8 @@ def test_orbit_reduced_simple_matches_exhaustive(spec, scale):
     full = simple_presentation_bruteforce(x.family, x.generators[0], scale)
     assert len(x.rel_sources) < len(full.rel_sources)
     for t in x.family.members(scale):
-        assert _eval_data(x, t).coker.pivots == \
-            relation_span_bruteforce(full, t).pivots, (spec, t)
+        assert normalized_pivots(_eval_data(x, t).coker) == \
+            normalized_pivots(relation_span_bruteforce(full, t)), (spec, t)
 
 
 def test_evaluation_above_the_scale_is_refused():

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import pytest
 
 from repstab.groups import cyclic, trivial_group
@@ -89,3 +93,27 @@ def test_twisted_residues_are_rejected_not_faked():
     x = torsion_example_a(3)
     with pytest.raises(DepthExceeded):
         resolution(x, 27, 6, minimal=True)
+
+
+# the child runs one CLI command under a 1.5 GB address-space limit
+_LIMITED_CLI = """
+import resource, sys
+cap = 1536 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import repstab.cli
+sys.exit(repstab.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("obj,bound", [("unit", 4), ("t(1)", 8)])
+def test_non_minimal_resolution_is_bounded(obj, bound, tmp_path,
+                                           subprocess_env):
+    # the counit's entry count grows geometrically with the level here;
+    # it is refused before the matrix is built, instead of running for
+    # minutes while memory grows past the limit
+    run = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "resolve", "--object", obj,
+         "--bound", str(bound), "--cache", str(tmp_path)],
+        env=subprocess_env, capture_output=True, text=True, timeout=20)
+    assert run.returncode == 1 and run.stdout == ""
+    assert json.loads(run.stderr)["error"] == "scale-exceeded"
