@@ -23,7 +23,7 @@ from operator import mul
 from . import config
 from .errors import (DivisibilityViolation, NotSurjective, ScaleExceeded,
                      ShapeMismatch)
-from .intmat import solve_integer
+from .intmat import inverse_mod, solve_integer
 
 
 @dataclass(frozen=True)
@@ -520,7 +520,7 @@ def lift_epi(alpha, beta):
     # coordinates by inverting the a-basis mod p^n
     q = p ** n_exp
     amat = [[a_vecs[k][i] % q for k in range(nn)] for i in range(nn)]
-    ainv = _invert_mod(amat, q)
+    ainv = inverse_mod(amat, q)
     rows = []
     for i in range(mm):
         row = [sum(b_vecs[k][i] * ainv[k][j] for k in range(mm)) for j in range(nn)]
@@ -587,26 +587,3 @@ def _complete_mod_p(vecs, gtype, p):
             chosen.append(list(cand))
             cur += 1
     return chosen
-
-
-def _invert_mod(mat, modulus):
-    """Inverse of a square integer matrix that is invertible mod `modulus`."""
-    n = len(mat)
-    aug = [[mat[i][j] % modulus for j in range(n)]
-           + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if math.gcd(aug[i][col], modulus) == 1:
-                piv = i
-                break
-        if piv is None:
-            raise ShapeMismatch("matrix not invertible modulo modulus")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, modulus)
-        aug[col] = [(v * inv) % modulus for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(a - c * b) % modulus for a, b in zip(aug[i], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]

@@ -1,9 +1,17 @@
-"""Exact integer matrix routines: Hermite and Smith normal forms, kernels.
+"""Exact integer matrix routines: Hermite and Smith normal forms, kernels,
+and the inverse modulo an integer.
 
 Everything here works on small dense matrices given as lists of row lists.
 Sizes stay in the single digits to low tens, so the classical cubic
-algorithms with exact big integers are entirely adequate.
+algorithms with exact big integers are entirely adequate.  `inverse_mod`
+is the group layer's one matrix inverse.  It works in Z/m, so a
+unimodular transform needs no Fractions: its inverse modulo a multiple
+of every modulus it is read under gives the same results.
 """
+
+import math
+
+from .errors import InvariantViolation
 
 
 def mat_mul(a, b):
@@ -208,3 +216,29 @@ def solve_integer(mat, target):
         elif b[i]:
             return None
     return [sum(v[i][k] * y[k] for k in range(ncols)) for i in range(ncols)]
+
+
+def inverse_mod(mat, modulus):
+    """Inverse of a square integer matrix modulo `modulus`, entries reduced.
+
+    Callers build matrices that are invertible by construction, so a
+    matrix singular modulo `modulus` is a broken invariant.
+    """
+    n = len(mat)
+    aug = [[mat[i][j] % modulus for j in range(n)]
+           + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n)
+                    if math.gcd(aug[i][col], modulus) == 1), None)
+        if piv is None:
+            raise InvariantViolation(
+                f"matrix not invertible modulo {modulus}")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, modulus)
+        aug[col] = [(v * inv) % modulus for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                c = aug[i][col]
+                aug[i] = [(a - c * b) % modulus
+                          for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]

@@ -104,9 +104,6 @@ class QMatrix:
     def rank(self):
         return len(_rref([list(r) for r in self.entries])[1])
 
-    def is_zero(self):
-        return all(v == 0 for row in self.entries for v in row)
-
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 

@@ -19,7 +19,7 @@ from .groups import (GroupType, Morphism, make_morphism, enumerate_epis,
                      count_epis, automorphisms, quotient_exists, section)
 from .subgroups import (Subgroup, subgroup_from_lattice_rows,
                         subgroup_from_generators, enumerate_subgroups,
-                        kernel, quotient, trivial_subgroup, full_subgroup)
+                        kernel, quotient, full_subgroup)
 
 
 @dataclass(frozen=True)
@@ -249,19 +249,18 @@ def _subgroups_of(s):
     return out
 
 
+def _inner(a, aprime):
+    """aprime <= a as a subgroup of the abstract type of a."""
+    atype = a.isomorphism_type
+    sub_emb = aprime.embedding_matrix()
+    gens = [a.abstract_coordinates(col) for col in zip(*sub_emb)]
+    return subgroup_from_generators(atype, gens)
+
+
 def _quotient_type_within(a, aprime):
     """Type of a/aprime for nested subgroups of a common ambient group."""
-    atype = a.isomorphism_type
-    # abstract coordinates of aprime's generators inside a
-    gens = []
-    sub_emb = aprime.embedding_matrix()
-    t = len(sub_emb[0]) if sub_emb else 0
-    for col in range(t):
-        vec = tuple(sub_emb[i][col] for i in range(a.ambient.rank))
-        gens.append(tuple(a.abstract_coordinates(vec)))
-    inner = subgroup_from_generators(atype, gens) if gens \
-        else trivial_subgroup(atype)
-    return _quotient_type_cached(atype, inner.basis)
+    inner = _inner(a, aprime)
+    return _quotient_type_cached(inner.ambient, inner.basis)
 
 
 @lru_cache(maxsize=None)
@@ -538,13 +537,7 @@ def lmn_theta(t, g, h, item):
         pair = prod_gh.embed(gpart, lam(acoords))
         theta[s] = pair
     # normalize cosets: the stored pair modulo ap
-    mods = prod_gh.group.moduli()
-    apel = ap.elements()
-    canon = {}
-    for s, pair in theta.items():
-        coset = min(tuple((pv + av) % m for pv, av, m in zip(pair, ael, mods))
-                    for ael in apel)
-        canon[s] = coset
+    canon = {s: ap.coset_rep(pair) for s, pair in theta.items()}
     return a_img, ap, tuple(sorted(canon.items()))
 
 
@@ -611,12 +604,9 @@ def lmn_bijections_check(t, g, h, family, explicit_limit=20000, limit=None):
 def _m_key(t, g, h, vhom, theta):
     """Canonical key of an M element: (A, A', theta as a coset table)."""
     prod_gh = _product2(g, h)
-    mods = prod_gh.group.moduli()
     a = vhom.wide.embedded
     ap = vhom.sub
-    apel = ap.elements()
     # tabulate theta: element of t -> coset of A' in A, canonically
-    spread = vhom.spread
     qgens = _spread_section(vhom)
     table = []
     for s in t.elements():
@@ -626,29 +616,17 @@ def _m_key(t, g, h, vhom, theta):
             if c:
                 for i in range(prod_gh.group.rank):
                     rep[i] += c * qgens[k][i]
-        rep = tuple(v % m for v, m in zip(rep, mods))
-        coset = min(tuple((rv + av) % m for rv, av, m in zip(rep, ael, mods))
-                    for ael in apel)
-        table.append((s, coset))
+        table.append((s, ap.coset_rep(rep)))
     return (a.basis, ap.basis, tuple(table))
 
 
 def _spread_section(vhom):
     """Coset representatives realizing the spread generators inside A."""
     a = vhom.wide.embedded
-    ap = vhom.sub
     qt = vhom.spread
-    atype = a.isomorphism_type
     emb = a.embedding_matrix()
-    # inner = A' in abstract coordinates of A; quotient projection
-    gens = []
-    sub_emb = ap.embedding_matrix()
-    tcols = len(sub_emb[0]) if sub_emb else 0
-    for col in range(tcols):
-        vec = tuple(sub_emb[i][col] for i in range(a.ambient.rank))
-        gens.append(list(a.abstract_coordinates(vec)))
-    inner = subgroup_from_generators(atype, gens) if gens \
-        else trivial_subgroup(atype)
+    inner = _inner(a, vhom.sub)
+    atype = inner.ambient
     qt2, proj = quotient(atype, inner)
     if qt2 != qt:
         raise InvariantViolation(

@@ -2,21 +2,28 @@
 
 A subgroup S of G = Z^r / diag(p^l1, ..., p^lr) is stored as the preimage
 lattice L with K <= L <= Z^r, where K is the relation lattice.  The row
-Hermite form of L is the unique normal form: two subgroups are equal
-exactly when their forms agree, containment is a triangular reduction, and
-quotients come out of the Smith form of the basis matrix.
+Hermite form B of L is the unique normal form: two subgroups are equal
+exactly when their forms agree, and quotients come out of the Smith form
+of the basis matrix.
+
+B is upper triangular with positive pivots, so one integer
+back-substitution, `_hermite_reduce`, writes any x as a B + rem with
+0 <= rem_i < B_ii (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4).  It answers three questions: x lies in S when rem is zero,
+a are its coordinates on the basis, and rem is the unique representative
+of the coset x + S in the box [0, B_ii).  Everything here stays in the
+integers.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from . import config
-from .errors import (NotASubgroup, FamilyNotSubmultiplicative,
-                     InvariantViolation)
+from .errors import NotASubgroup, FamilyNotSubmultiplicative
 from .groups import GroupType, make_morphism, enumerate_epis
-from .intmat import hermite_row_form, smith_normal_form, integer_kernel
+from .intmat import (hermite_row_form, inverse_mod, smith_normal_form,
+                     integer_kernel)
 
 
 @dataclass(frozen=True)
@@ -39,16 +46,12 @@ class Subgroup:
         return (self.order, tuple(v for row in self.basis for v in row))
 
     def contains_element(self, x):
-        v = list(x)
-        r = self.ambient.rank
-        for i in range(r):
-            piv = self.basis[i][i]
-            if v[i] % piv:
-                return False
-            q = v[i] // piv
-            for j in range(i, r):
-                v[j] -= q * self.basis[i][j]
-        return True
+        return not any(self.coset_rep(x))
+
+    def coset_rep(self, x):
+        """The representative of x + S in the box [0, pivot): two elements
+        share a coset exactly when their representatives agree."""
+        return _hermite_reduce(self.basis, x)[1]
 
     def contains(self, other):
         if other.ambient != self.ambient:
@@ -110,41 +113,31 @@ class Subgroup:
     def _decomposition(self):
         r = self.ambient.rank
         mods = self.ambient.moduli()
-        b = [list(row) for row in self.basis]
+        b = self.basis
         # write the relation lattice K in terms of the basis: C * B = K
         # (C integral because K <= L); S = L/K = Z^r / rowspan(C)
-        cmat = []
-        for i in range(r):
-            target = [mods[i] if j == i else 0 for j in range(r)]
-            coeffs = _solve_rows(b, target)
-            cmat.append(coeffs)
-        d, u, v = smith_normal_form([[cmat[i][j] for j in range(r)]
-                                     for i in range(r)])
+        cmat = [_solve_rows(b, row) for row in relation_rows(self.ambient)]
+        d, _u, v = smith_normal_form(cmat)
         # coefficient rows map to the quotient by a |-> a V (row
         # convention), so the abstract generator e_k pulls back to row k
-        # of V^{-1}
-        vinv = _integer_inverse(v)
+        # of V^{-1}.  Generators are only read modulo the ambient moduli,
+        # which all divide p^l1, so V^{-1} mod p^l1 gives the same ones
+        vinv = inverse_mod(v, max(mods, default=1))
         gens, orders, keep = [], [], []
         for k in range(r):
             if d[k] == 1:
                 continue
-            a = [vinv[k][i] for i in range(r)]
-            vec = tuple(sum(a[t] * b[t][i] for t in range(r)) % mods[i]
+            vec = tuple(sum(vinv[k][t] * b[t][i] for t in range(r)) % mods[i]
                         for i in range(r))
             gens.append(vec)
             orders.append(d[k])
             keep.append(k)
         idx = sorted(range(len(gens)),
                      key=lambda i: (-orders[i], gens[i]))
-        gens = [gens[i] for i in idx]
-        orders = [orders[i] for i in idx]
-        keep = [keep[i] for i in idx]
-        # fast projector: coords(x) = (x B^{-1} V)[keep] mod orders
-        binv = _rational_inverse(b)
-        m = [[sum(binv[i][t] * Fraction(v[t][k]) for t in range(r))
-              for k in range(r)] for i in range(r)]
-        proj = tuple(tuple(m[i][k] for i in range(r)) for k in keep)
-        return tuple(gens), tuple(orders), proj
+        # projector: coords(x) = (basis coefficients of x) V[:, keep]
+        proj = tuple(tuple(v[t][keep[i]] for t in range(r)) for i in idx)
+        return (tuple(gens[i] for i in idx), tuple(orders[i] for i in idx),
+                proj)
 
     @property
     def isomorphism_type(self):
@@ -154,15 +147,12 @@ class Subgroup:
         return GroupType(p, exps)
 
     def abstract_coordinates(self, x):
-        """Coordinates of an element of S in the generator decomposition."""
+        """Coordinates of an element of S in the generator decomposition;
+        NotASubgroup if x is not in S."""
         _gens, orders, proj = self._decomposition()
-        out = []
-        for k, row in enumerate(proj):
-            val = sum(row[i] * x[i] for i in range(len(x)))
-            if val.denominator != 1:
-                raise NotASubgroup("element not in subgroup")
-            out.append(int(val) % orders[k])
-        return tuple(out)
+        a = _solve_rows(self.basis, x)
+        return tuple(sum(c * ai for c, ai in zip(col, a)) % n
+                     for col, n in zip(proj, orders))
 
     def embedding_matrix(self):
         """Columns are the generator vectors: maps abstract coords in."""
@@ -182,48 +172,28 @@ def _p_val(n, p):
     return e
 
 
-def _solve_rows(basis_rows, target):
-    """Coefficients a with a @ basis_rows = target (exact, Fraction-free)."""
-    r = len(basis_rows)
-    coeffs = [0] * r
-    v = list(target)
+def _hermite_reduce(basis, x):
+    """(a, rem) with x = a @ basis + rem and 0 <= rem[i] < basis[i][i],
+    for an upper-triangular basis with positive pivots."""
+    r = len(basis)
+    a = [0] * r
+    v = list(x)
     for i in range(r):
-        piv = basis_rows[i][i]
-        if v[i] % piv:
-            raise NotASubgroup("vector not in lattice")
-        q = v[i] // piv
-        coeffs[i] = q
-        for j in range(i, r):
-            v[j] -= q * basis_rows[i][j]
-    if any(v):
+        row = basis[i]
+        q = v[i] // row[i]
+        if q:
+            a[i] = q
+            for j in range(i, r):
+                v[j] -= q * row[j]
+    return a, tuple(v)
+
+
+def _solve_rows(basis, x):
+    """Coefficients a with a @ basis = x; NotASubgroup if there are none."""
+    a, rem = _hermite_reduce(basis, x)
+    if any(rem):
         raise NotASubgroup("vector not in lattice")
-    return coeffs
-
-
-def _rational_inverse(u):
-    """Exact inverse of an invertible matrix, as Fractions."""
-    n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
-
-def _integer_inverse(u):
-    """Inverse of a unimodular integer matrix, exact."""
-    out = _rational_inverse(u)
-    if any(v.denominator != 1 for row in out for v in row):
-        raise InvariantViolation("matrix is not unimodular")
-    return [[int(v) for v in row] for row in out]
+    return a
 
 
 def relation_rows(g):

@@ -156,19 +156,6 @@ def _leq_product(a, b):
     return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
 
 
-def _leq_word(u, w, leq):
-    """Embedding order on words: a strictly increasing map with
-    componentwise domination (greedy matching is complete here)."""
-    pos = 0
-    for x in u:
-        while pos < len(w) and not leq(x, w[pos]):
-            pos += 1
-        if pos == len(w):
-            return False
-        pos += 1
-    return True
-
-
 def ldag_invariants(x):
     """The invariant triple (alpha, beta, gamma) of an ordered labeled set.
 
@@ -191,7 +178,7 @@ def _triple_leq(x, y):
     ax, bx, gx = ldag_invariants(x)
     ay, by, gy = ldag_invariants(y)
     return (ax <= ay and bx <= by
-            and _leq_word(gx, gy, _leq_product))
+            and _word_embedding(gx, gy) is not None)
 
 
 def find_good_pair(seq, order="product"):
@@ -205,7 +192,7 @@ def find_good_pair(seq, order="product"):
         leq = _leq_product
     elif order == "words":
         def leq(u, w):
-            return _leq_word(u, w, _leq_product)
+            return _word_embedding(u, w) is not None
     elif order == "ldag":
         leq = _triple_leq
     else:
@@ -264,8 +251,9 @@ def ldag_construct_morphism(x, y):
 
 
 def _word_embedding(u, w):
-    """Greedy strictly increasing embedding with componentwise domination,
-    as index list into w; None if impossible."""
+    """Embedding order on words: a strictly increasing map with
+    componentwise domination, as index list into w; None if impossible.
+    Greedy matching is complete here."""
     out = []
     pos = 0
     for x in u:

@@ -77,6 +77,27 @@ def subgroups_bruteforce(g):
     return found
 
 
+def coordinates_bruteforce(s, x):
+    """Coefficients c with x = sum c_k g_k over the generator data of s,
+    found by searching every coefficient tuple; None if x is not in s."""
+    gens, orders = s._generator_data()
+    mods = s.ambient.moduli()
+    want = tuple(v % m for v, m in zip(x, mods))
+    for coeffs in product(*[range(d) for d in orders]):
+        got = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % m
+                    for i, m in enumerate(mods))
+        if got == want:
+            return coeffs
+    return None
+
+
+def coset_min_bruteforce(s, x):
+    """The least element of the coset x + s, over all elements of s."""
+    mods = s.ambient.moduli()
+    return min(tuple((v + e) % m for v, e, m in zip(x, el, mods))
+               for el in s.elements())
+
+
 def dense_rank(rows):
     """Row reduce a dense rational matrix, independently of the library."""
     mat = [[Fraction(v) for v in row] for row in rows]

@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repstab.errors import InvariantViolation
 from repstab.intmat import (hermite_row_form, smith_normal_form,
-                            integer_kernel, solve_integer, mat_mul)
+                            integer_kernel, solve_integer, mat_mul,
+                            mat_identity, inverse_mod)
 
 
 def _is_unimodular(m):
@@ -103,3 +106,58 @@ def test_hermite_uniqueness_under_shuffles():
             p = pivots[i]
             for k in range(i):
                 assert 0 <= h1[k][p] < row[p]
+
+
+prime_power = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3))
+square_matrix = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-20, 20), min_size=n,
+                                max_size=n), min_size=n, max_size=n))
+
+
+def _elementary_product(n, ops):
+    """Product of elementary row additions and swaps: unimodular."""
+    m = mat_identity(n)
+    for i, j, c in ops:
+        i, j = i % n, j % n
+        if i == j:
+            m[0], m[i] = m[i], m[0]
+        else:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def _assert_inverse_mod(m, inv, q):
+    n = len(m)
+    assert all(0 <= v < q for row in inv for v in row)
+    for prod in (mat_mul(m, inv), mat_mul(inv, m)):
+        assert [[v % q for v in row] for row in prod] == mat_identity(n)
+
+
+@given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 3),
+                                              st.integers(0, 3),
+                                              st.integers(-9, 9)),
+                                    max_size=12), prime_power)
+@settings(max_examples=150, deadline=None)
+def test_inverse_mod_of_elementary_products(n, ops, pk):
+    p, k = pk
+    m = _elementary_product(n, ops)
+    _assert_inverse_mod(m, inverse_mod(m, p ** k), p ** k)
+
+
+@given(square_matrix, prime_power)
+@settings(max_examples=200, deadline=None)
+def test_inverse_mod_exactly_when_invertible_mod_p(m, pk):
+    p, k = pk
+    if _det(m) % p:
+        _assert_inverse_mod(m, inverse_mod(m, p ** k), p ** k)
+    else:
+        with pytest.raises(InvariantViolation):
+            inverse_mod(m, p ** k)
+
+
+def test_inverse_mod_examples():
+    assert inverse_mod([], 8) == []
+    assert inverse_mod([[3]], 8) == [[3]]
+    assert inverse_mod([[1, 2], [0, 1]], 9) == [[1, 7], [0, 1]]
+    with pytest.raises(InvariantViolation):
+        inverse_mod([[2, 0], [0, 1]], 4)

@@ -187,7 +187,7 @@ def test_integer_coker_matches_fraction_oracle(data):
 
 _OPTIMIZED_CHECKS = """
 import sys
-from repstab import linalg, monoidal, stability, subgroups, towers
+from repstab import intmat, linalg, monoidal, stability, towers
 from repstab.errors import InvariantViolation
 from repstab.families import all_abelian
 from repstab.groups import group, cyclic
@@ -202,7 +202,7 @@ def raises(fn):
 
 if sys.flags.optimize != 1:
     raise SystemExit("not running under -O")
-count = raises(lambda: subgroups._integer_inverse([[2]]))
+count = raises(lambda: intmat.inverse_mod([[2]], 4))
 rref = linalg._rref
 linalg._rref = lambda rows: (rref(rows)[0], [])
 count += raises(lambda: linalg.snf_reduce([[1, 0], [0, 1]]))

@@ -94,3 +94,20 @@ def test_dir_and_unknown_names():
         repstab.no_such_name
     with pytest.raises(ImportError):
         from repstab import no_such_name  # noqa: F401
+
+
+# the group layer is integer-only: importing it must not pull in fractions
+_INTEGER_LAYER_PROBE = """
+import sys
+import repstab.groups, repstab.subgroups, repstab.intmat
+import repstab.families, repstab.monoidal, repstab.wqo
+print("fractions" in sys.modules)
+"""
+
+
+def test_group_layer_does_not_import_fractions(subprocess_env):
+    run = subprocess.run([sys.executable, "-c", _INTEGER_LAYER_PROBE],
+                         env=subprocess_env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]

@@ -9,13 +9,17 @@ from repstab.families import all_abelian, cyclic_family
 from repstab.errors import NotASubgroup, FamilyNotSubmultiplicative, \
     ScaleExceeded
 
-from oracles import subgroups_bruteforce
+from oracles import (coordinates_bruteforce, coset_min_bruteforce,
+                     subgroups_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
 C22 = group(2, [1, 1])
 C23 = group(2, [1, 1, 1])
 C42 = group(2, [2, 1])
+C82 = group(2, [3, 1])
+C93 = group(3, [2, 1])
+C33 = group(3, [1, 1])
 
 
 def test_subgroup_counts_examples():
@@ -122,7 +126,7 @@ def test_scale_guard():
 def test_abstract_type_of_subgroups():
     w = subgroup_from_generators(C42, [(1, 1)])
     assert w.isomorphism_type == C4
-    for g in [C42, C23, group(2, [2, 2])]:
+    for g in [C42, C23, group(2, [2, 2]), C82, C93, C33]:
         for s in enumerate_subgroups(g):
             assert s.isomorphism_type.order == s.order
             # generator decomposition reproduces every element
@@ -130,6 +134,30 @@ def test_abstract_type_of_subgroups():
             mods = g.moduli()
             for e in s.elements():
                 c = s.abstract_coordinates(e)
+                assert c == coordinates_bruteforce(s, e)
                 rec = tuple(sum(ci * gens[k][i] for k, ci in enumerate(c))
                             % mods[i] for i in range(g.rank))
                 assert rec == e
+
+
+@pytest.mark.parametrize("g", [C42, C82, C93, C33])
+def test_coset_rep_matches_bruteforce_minimum(g):
+    mods = g.moduli()
+    for s in enumerate_subgroups(g):
+        pairs = {(s.coset_rep(x), coset_min_bruteforce(s, x))
+                 for x in g.elements()}
+        # same representative exactly when the oracle minima agree
+        assert len(pairs) == len({r for r, _m in pairs}) \
+            == len({m for _r, m in pairs}) == g.order // s.order
+        for x in g.elements():
+            rep = s.coset_rep(x)
+            # unreduced lifts of x land on the same representative
+            assert s.coset_rep([v + m for v, m in zip(x, mods)]) == rep
+            assert s.coset_rep([v - m for v, m in zip(x, mods)]) == rep
+            assert s.contains_element([v - r for v, r in zip(x, rep)])
+            if s.contains_element(x):
+                assert not any(rep)
+            else:
+                assert coordinates_bruteforce(s, x) is None
+                with pytest.raises(NotASubgroup):
+                    s.abstract_coordinates(x)
