@@ -1,15 +1,17 @@
 """Exact rational linear algebra for evaluating functor presentations.
 
-Everything is exact over Q; no floats anywhere.  Dense matrices
-(`QMatrix`, `rref_kernel`) hold fractions.Fraction entries.  `StreamCoker`,
-which evaluation runs on, keeps primitive integer pivots and builds
-Fractions only in the coordinates that `reduce` and `project` return.  The
-cokernel convention is fixed once: the surviving basis of target/im(M) is
-the first maximal independent subset of the ambient basis in label order.
-Pivot columns therefore always carry their pivot at the *largest* involved
-row, which makes the greedy-from-the-front quotient basis drop out of the
-echelon form (cross-checked against a brute-force greedy oracle in the
-tests).
+Everything is exact over Q; no floats anywhere.  Every rank, kernel and
+cokernel runs on one fraction-free echelon, `StreamCoker`: it keeps
+primitive integer pivots and builds Fractions only in the coordinates
+that `reduce`, `project` and `sparse_kernel` return.  Vectors are sparse
+dicts index -> value throughout; dense `QMatrix`es hold structure maps
+and diagram arrows, and `rref_kernel` is a dense view of `sparse_kernel`.
+The cokernel convention is fixed once: the surviving basis of target/im(M)
+is the first maximal independent subset of the ambient basis in label
+order.  Pivot columns therefore always carry their pivot at the *largest*
+involved row, which makes the greedy-from-the-front quotient basis drop
+out of the echelon form (cross-checked against a brute-force greedy
+oracle in the tests).
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvariantViolation
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,6 @@ class QMatrix:
             out.append(tuple(row))
         return QMatrix(self.rows, other.cols, tuple(out))
 
-    def __add__(self, other):
-        return QMatrix.from_rows(
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return QMatrix.from_rows(
-            [[a - b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)])
-
     def apply(self, vec):
         return tuple(sum((row[j] * vec[j] for j in range(self.cols)),
                          Fraction(0)) for row in self.entries)
@@ -102,60 +96,44 @@ class QMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def rank(self):
-        return len(_rref([list(r) for r in self.entries])[1])
+        return span_rank(self.cols, self.entries)
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+def sparse_kernel(rows, n):
+    """Kernel basis of the matrix with sparse rows (dicts column -> value)
+    and n columns, in free-variable normal form.
+
+    Returns (kernel, free): `free` lists the non-pivot columns of the
+    reduced row echelon form, and kernel vector j is the sparse dict of
+    the unique kernel vector that is 1 at free[j] and 0 at the other free
+    columns.  The rows go into a `StreamCoker` with column j at position
+    n - 1 - j, so its bottom-most pivots are the leftmost echelon pivots
+    and each pivot is an integer multiple of a reduced echelon row.
+    """
+    coker = StreamCoker(n)
+    for row in rows:
+        coker.offer({n - 1 - j: v for j, v in row.items()})
+    free = [j for j in range(n) if n - 1 - j not in coker.pivots]
+    kernel = {f: {f: Fraction(1)} for f in free}
+    for prow, piv in coker.pivots.items():
+        lead = piv[prow]
+        for r, v in piv.items():
+            if r != prow:
+                kernel[n - 1 - r][n - 1 - prow] = Fraction(-v, lead)
+    return [kernel[f] for f in free], free
 
 
 def rref_kernel(mat):
-    """Kernel basis of a QMatrix in free-variable normal form.
-
-    Returns (kernel, free): `free` lists the non-pivot columns, and kernel
-    vector j is the unique one that is 1 at free[j] and 0 at the other
-    free columns.
-    """
-    rref_rows, pivots = _rref([list(r) for r in mat.entries])
-    free = [j for j in range(mat.cols) if j not in pivots]
-    kernel = []
-    for fj in free:
-        vec = [Fraction(0)] * mat.cols
-        vec[fj] = Fraction(1)
-        for i, pj in enumerate(pivots):
-            vec[pj] = -rref_rows[i][fj]
-        kernel.append(tuple(vec))
-    return kernel, free
-
-
-_ZERO = Fraction(0)
+    """Kernel basis of a QMatrix in free-variable normal form, as dense
+    tuples; see `sparse_kernel`."""
+    kernel, free = sparse_kernel(
+        [{j: v for j, v in enumerate(row) if v} for row in mat.entries],
+        mat.cols)
+    return [tuple(vec.get(j, _ZERO) for j in range(mat.cols))
+            for vec in kernel], free
 
 
 class StreamCoker:

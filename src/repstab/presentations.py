@@ -20,8 +20,8 @@ from .groups import (GroupType, make_morphism, identity_morphism,
                      quotient_exists, trivial_group, cyclic,
                      aut_transitive_on_epis, automorphism_generators,
                      orbit_roots, _compose)
-from .linalg import BasedSpace, QMatrix, StreamCoker, rref_kernel
-from .subgroups import enumerate_subgroups, quotient
+from .linalg import BasedSpace, QMatrix, StreamCoker, sparse_kernel
+from .subgroups import minimal_subgroups, quotient
 from .families import Family
 
 
@@ -220,13 +220,8 @@ def indecomposables_Q(x, g, limit=None):
     """
     data = _eval_data(x, g, limit)
     coker = StreamCoker(data.space.dim)
-    for s in enumerate_subgroups(g, limit=limit):
-        if s.order == 1:
-            continue
-        _qt, proj = quotient(g, s)
-        mat = structure_map(x, proj, limit)
-        for j in range(mat.cols):
-            coker.offer(dict(enumerate(mat.column(j))))
+    for col in _proper_pullback_span(functor_of_presentation(x, limit), g):
+        coker.offer(col)
     surv = coker.surviving()
     return BasedSpace(len(surv),
                       tuple(data.space.labels[r] for r in surv))
@@ -269,21 +264,18 @@ def base_and_support(x, bound, limit=None):
 
 
 class ExplicitFunctor:
-    """A functor given by computable values and structure maps.
+    """A functor given by computable values and pullbacks.
 
-    `space_fn(T) -> BasedSpace` and `matrix_fn(alpha) -> QMatrix` (the
-    matrix of the pullback X(target) -> X(source)).  An optional
-    `push_fn(alpha, vec)` applies a single pullback without materializing
-    the matrix; the heavy resolution machinery only ever pushes vectors.
+    `space_fn(T) -> BasedSpace`, and `push_fn(alpha, vec)` applies the
+    pullback X(target) -> X(source) of alpha to one vector.  Vectors are
+    sparse dicts (basis position -> value) on the way in and out.
     """
 
-    def __init__(self, family, space_fn, matrix_fn, push_fn=None):
+    def __init__(self, family, space_fn, push_fn):
         self.family = family
         self._space_fn = space_fn
-        self._matrix_fn = matrix_fn
-        self._push_fn = push_fn
+        self.push = push_fn
         self._spaces = {}
-        self._mats = {}
 
     def space(self, t):
         got = self._spaces.get(t)
@@ -291,199 +283,156 @@ class ExplicitFunctor:
             got = self._spaces[t] = self._space_fn(t)
         return got
 
-    def matrix(self, alpha):
-        key = alpha
-        got = self._mats.get(key)
-        if got is None:
-            got = self._mats[key] = self._matrix_fn(alpha)
-        return got
 
-    def push(self, alpha, vec):
-        """Image of a value-space vector under the pullback of alpha."""
-        if self._push_fn is not None:
-            return self._push_fn(alpha, vec)
-        return self.matrix(alpha).apply(vec)
-
-
-def functor_of_presentation(x):
+def functor_of_presentation(x, limit=None):
     def push_fn(alpha, vec):
-        src = _eval_data(x, alpha.target)
-        dst = _eval_data(x, alpha.source)
+        src = _eval_data(x, alpha.target, limit)
+        dst = _eval_data(x, alpha.source, limit)
         # u -> u o alpha is injective, so no two labels land together
-        support = [pos for pos, val in enumerate(vec) if val]
-        return dst.coker.project(dict(zip(_pulled_back(
-            x, dst.index, [src.space.labels[pos] for pos in support], alpha),
-            (vec[pos] for pos in support))))
+        pulled = _pulled_back(x, dst.index,
+                              [src.space.labels[pos] for pos in vec], alpha)
+        img = dst.coker.project(dict(zip(pulled, vec.values())))
+        return {pos: v for pos, v in enumerate(img) if v}
 
-    return ExplicitFunctor(x.family,
-                           lambda t: evaluate(x, t),
-                           lambda a: structure_map(x, a),
+    return ExplicitFunctor(x.family, lambda t: evaluate(x, t, limit),
                            push_fn)
 
 
 def _proper_pullback_span(fun, g):
+    """Images of the pullbacks into fun(g) from its proper quotients.
+
+    Every nontrivial subgroup S contains a subgroup C of order p, and
+    g -> g/S factors through g/C, so the quotients g/C span everything.
+    """
     cols = []
-    for s in enumerate_subgroups(g):
-        if s.order == 1:
-            continue
-        qt, proj = quotient(g, s)
-        qdim = fun.space(qt).dim
-        for j in range(qdim):
-            unit = tuple(Fraction(1 if k == j else 0) for k in range(qdim))
-            pushed = fun.push(proj, unit)
-            cols.append({i: v for i, v in enumerate(pushed) if v})
+    for c in minimal_subgroups(g):
+        qt, proj = quotient(g, c)
+        cols.extend(fun.push(proj, {j: 1}) for j in range(fun.space(qt).dim))
     return cols
 
 
 def _cover(fun, bound, minimal):
     """Choose generators (type, vector) covering `fun` at orders <= bound.
 
-    Minimal covers pick module generators over the automorphism action:
-    one representable copy reaches the whole automorphism span of its
-    vector, so each picked vector is closed off under the action before
-    the next pick.
+    Each vector is a basis vector {i: 1} of fun(type).  Minimal covers
+    pick module generators over the automorphism action: one
+    representable copy reaches the whole automorphism span of its vector,
+    so each picked vector is closed off under the action before the next
+    pick.
     """
-    def push(col, psi, n):
-        vec = tuple(col.get(k, Fraction(0)) for k in range(n))
-        return {k: v for k, v in enumerate(fun.push(psi, vec)) if v}
-
     gens = []
     for g in fun.family.members(max_order=bound):
-        sp = fun.space(g)
-        if sp.dim == 0:
-            continue
-        if minimal:
-            coker = StreamCoker(sp.dim)
+        dim = fun.space(g).dim
+        if not minimal:
+            gens.extend((g, {i: 1}) for i in range(dim))
+        elif dim:
+            coker = StreamCoker(dim)
             for col in _proper_pullback_span(fun, g):
                 coker.offer(col)
-            actions = [partial(push, psi=psi, n=sp.dim)
+            actions = [partial(fun.push, psi)
                        for psi in automorphism_generators(g)]
-            for i in range(sp.dim):
-                vec = tuple(Fraction(1 if k == i else 0)
-                            for k in range(sp.dim))
-                if not coker.offer({i: Fraction(1)}):
-                    continue
-                gens.append((g, vec))
-                coker.close_under([{i: Fraction(1)}], actions)
-        else:
-            for i in range(sp.dim):
-                vec = tuple(Fraction(1 if k == i else 0)
-                            for k in range(sp.dim))
-                gens.append((g, vec))
+            for i in range(dim):
+                if coker.offer({i: 1}):
+                    gens.append((g, {i: 1}))
+                    coker.close_under([{i: 1}], actions)
     return gens
 
 
-def _counit_matrix(fun, gens, t):
-    """Matrix of sum e_{G_k} -> fun at t, with the free basis labeled
-    (k, alpha) for alpha in Epi(t, G_k).  Its entry count is known in
-    closed form before anything is built, and refused above the bound."""
-    sp = fun.space(t)
+def _counit_kernel(fun, gens, t):
+    """Kernel of sum e_{G_k} -> fun at t, with the free basis labeled
+    (k, alpha) for alpha in Epi(t, G_k), as `sparse_kernel` returns it.
+    The counit's entry count is known in closed form before anything is
+    built, and refused above the bound."""
     config.check_candidates(
-        sp.dim * sum(count_epis(t, g) for g, _v in gens),
+        fun.space(t).dim * sum(count_epis(t, g) for g, _v in gens),
         config.MAX_COUNIT_ENTRIES, what="counit matrix")
     labels = []
-    cols = []
+    rows = {}
     for k, (g, vec) in enumerate(gens):
         for alpha in enumerate_epis(t, g):
+            for i, v in fun.push(alpha, vec).items():
+                rows.setdefault(i, {})[len(labels)] = v
             labels.append((k, alpha))
-            cols.append(fun.push(alpha, vec))
-    rows = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                 for i in range(sp.dim))
-    return labels, QMatrix(sp.dim, len(cols), rows)
+    kern, free = sparse_kernel(rows.values(), len(labels))
+    return labels, kern, free
 
 
-def kernel_functor(fun, gens, bound):
+def kernel_functor(fun, gens):
     """Kernel of the counit of a free cover, as an ExplicitFunctor.
 
-    The kernel value at T is based by tracked vectors in the free module
-    coordinates (k, alpha).  The basis comes out of the row reduction in
-    free-variable normal form: basis vector j is the unique kernel vector
-    whose free coordinates are a delta at the j-th free column, so
-    expressing a kernel element is just reading off its free coordinates.
+    The kernel value at T is based by tracked sparse vectors in the free
+    module coordinates (k, alpha), in free-variable normal form: basis
+    vector j is the unique kernel vector whose free coordinates are a
+    delta at the j-th free column.  A pullback of a kernel vector is a
+    kernel vector, so expressing it is just reading off its free
+    coordinates.
     """
     basis_cache = {}
+    mods = [g.moduli() for g, _v in gens]
 
     def kernel_basis(t):
+        """(labels, kernel vectors, {(k, alpha.matrix): j} over the free
+        columns) at t."""
         got = basis_cache.get(t)
-        if got is not None:
-            return got
-        labels, mat = _counit_matrix(fun, gens, t)
-        kern, free = rref_kernel(mat)
-        basis_cache[t] = (labels, tuple(kern), tuple(free))
-        return basis_cache[t]
+        if got is None:
+            labels, kern, free = _counit_kernel(fun, gens, t)
+            index = {(labels[f][0], labels[f][1].matrix): j
+                     for j, f in enumerate(free)}
+            got = basis_cache[t] = (labels, kern, index)
+        return got
 
     def space_fn(t):
-        _labels, kern, _free = kernel_basis(t)
-        return BasedSpace(len(kern), tuple(range(len(kern))))
-
-    def _push_free(alpha, coeffs):
-        tl, tkern, _tfree = kernel_basis(alpha.target)
-        sl, _skern, sfree = kernel_basis(alpha.source)
-        sindex = {lab: i for i, lab in enumerate(sl)}
-        out = {}
-        for bidx, c in coeffs:
-            for pos, val in enumerate(tkern[bidx]):
-                if val:
-                    k, u = tl[pos]
-                    tgt = sindex[(k, u @ alpha)]
-                    out[tgt] = out.get(tgt, Fraction(0)) + c * val
-        free_pos = {fj: i for i, fj in enumerate(sfree)}
-        col = [Fraction(0)] * len(sfree)
-        for tgt, val in out.items():
-            if val and tgt in free_pos:
-                col[free_pos[tgt]] = val
-        return tuple(col)
-
-    def matrix_fn(alpha):
-        _tl, tkern, _tf = kernel_basis(alpha.target)
-        cols = [_push_free(alpha, [(j, Fraction(1))])
-                for j in range(len(tkern))]
-        nrows = len(cols[0]) if cols else \
-            len(kernel_basis(alpha.source)[2])
-        rows = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                     for i in range(nrows))
-        return QMatrix(nrows, len(cols), rows)
+        n = len(kernel_basis(t)[1])
+        return BasedSpace(n, tuple(range(n)))
 
     def push_fn(alpha, vec):
-        coeffs = [(j, Fraction(v)) for j, v in enumerate(vec) if v]
-        return _push_free(alpha, coeffs)
+        tlabels, tkern, _tindex = kernel_basis(alpha.target)
+        sindex = kernel_basis(alpha.source)[2]
+        cols = alpha.columns
+        out = {}
+        for b, c in vec.items():
+            for pos, val in tkern[b].items():
+                k, u = tlabels[pos]
+                j = sindex.get((k, _compose(u.matrix, cols, mods[k])))
+                if j is not None:
+                    out[j] = out.get(j, 0) + c * val
+        return {j: v for j, v in out.items() if v}
 
-    return ExplicitFunctor(fun.family, space_fn, matrix_fn,
-                           push_fn), kernel_basis
+    return ExplicitFunctor(fun.family, space_fn, push_fn), kernel_basis
 
 
-def present_explicit(fun, scale, minimal=True):
-    """A PresentedObject matching `fun` on all members of order <= scale."""
-    gens = _cover(fun, scale, minimal)
-    kfun, kbasis = kernel_functor(fun, gens, scale)
-    rel_gens = _cover(kfun, scale, minimal)
-    gen_types = tuple(g for g, _v in gens)
-    rel_sources = []
-    columns = []
+def relation_columns(kbasis, rel_gens, gen_types):
+    """Relation columns over the generators `gen_types` of the kernel
+    vectors chosen by a cover of `kernel_functor`."""
+    cols = []
     for h, kvec in rel_gens:
-        labels, kern, _free = kbasis(h)
+        labels, kern, _index = kbasis(h)
         # kvec is in kernel coordinates: expand to the free module
         free_vec = {}
-        for pos, val in enumerate(kvec):
-            if val:
-                for fpos, fval in enumerate(kern[pos]):
-                    if fval:
-                        free_vec[fpos] = free_vec.get(fpos, Fraction(0)) \
-                            + val * fval
+        for pos, val in kvec.items():
+            for fpos, fval in kern[pos].items():
+                free_vec[fpos] = free_vec.get(fpos, 0) + val * fval
         per_gen = {}
         for fpos, val in free_vec.items():
             if val:
                 k, alpha = labels[fpos]
                 per_gen.setdefault(k, []).append((alpha, val))
-        col = []
-        for k in range(len(gen_types)):
-            terms = per_gen.get(k)
-            col.append(None if not terms else
-                       MorphismCombination.make(h, gen_types[k], terms))
-        rel_sources.append(h)
-        columns.append(tuple(col))
-    return PresentedObject(fun.family, gen_types, tuple(rel_sources),
-                           tuple(columns), scale)
+        cols.append(tuple(
+            MorphismCombination.make(h, g, per_gen[k]) if k in per_gen
+            else None for k, g in enumerate(gen_types)))
+    return cols
+
+
+def present_explicit(fun, scale, minimal=True):
+    """A PresentedObject matching `fun` on all members of order <= scale."""
+    gens = _cover(fun, scale, minimal)
+    kfun, kbasis = kernel_functor(fun, gens)
+    rel_gens = _cover(kfun, scale, minimal)
+    gen_types = tuple(g for g, _v in gens)
+    return PresentedObject(fun.family, gen_types,
+                           tuple(h for h, _v in rel_gens),
+                           relation_columns(kbasis, rel_gens, gen_types),
+                           scale)
 
 
 # ---------------------------------------------------------------------------
@@ -597,21 +546,19 @@ def _coinduced_functor(family, g):
         n = _aut_orbit_count(g, t)
         return BasedSpace(n, tuple(_orbit_reps(g, t)))
 
-    def matrix_fn(alpha):
+    def push_fn(alpha, vec):
         # the pullback precomposes orbit indicator functions with
-        # (alpha o -): the row of an orbit rep gamma: g -> source has a 1
-        # in the column of the orbit of alpha o gamma
-        treps = _orbit_reps(g, alpha.target)
-        tpreps = _orbit_reps(g, alpha.source)
+        # (alpha o -): orbit rep gamma: g -> source takes the value at
+        # the orbit of alpha o gamma
         tlookup = _orbit_lookup(g, alpha.target)
-        rows = []
-        for gamma in tpreps:
-            o = tlookup[(alpha @ gamma).matrix]
-            rows.append(tuple(Fraction(1 if idx == o else 0)
-                              for idx in range(len(treps))))
-        return QMatrix(len(tpreps), len(treps), tuple(rows))
+        out = {}
+        for r, gamma in enumerate(_orbit_reps(g, alpha.source)):
+            v = vec.get(tlookup[(alpha @ gamma).matrix])
+            if v:
+                out[r] = v
+        return out
 
-    return ExplicitFunctor(family, space_fn, matrix_fn)
+    return ExplicitFunctor(family, space_fn, push_fn)
 
 
 @lru_cache(maxsize=None)
@@ -652,14 +599,12 @@ def _chi_functor(family, interval):
         inside = interval.contains(t)
         return BasedSpace(1 if inside else 0, ("chi",) if inside else ())
 
-    def matrix_fn(alpha):
-        t, tp = alpha.target, alpha.source
-        a, b = interval.contains(t), interval.contains(tp)
-        if a and b:
-            return QMatrix.identity(1)
-        return QMatrix.zeros(1 if b else 0, 1 if a else 0)
+    def push_fn(alpha, vec):
+        both = (interval.contains(alpha.target)
+                and interval.contains(alpha.source))
+        return dict(vec) if both else {}
 
-    return ExplicitFunctor(family, space_fn, matrix_fn)
+    return ExplicitFunctor(family, space_fn, push_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import DepthExceeded
 from .families import truncated
 from .presentations import (functor_of_presentation,
                             restrict_presentation, _cover, kernel_functor,
-                            MorphismCombination)
+                            relation_columns)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ def resolution(x, group_bound, depth, minimal=True):
     Returns a list of ResolutionLevel; level k's differential maps its
     free cover into level k-1 (level 0's maps onto x itself, encoded as
     entries over the level-0 generators only when k > 0; for k = 0 the
-    `differential` holds the chosen covering vectors).
+    `differential` holds the chosen covering vectors, sparse dicts
+    {basis position: 1} in the value of x at each generator).
     """
     fam = x.family
     bounded = truncated(fam, group_bound) if not _already_bounded(
@@ -50,19 +51,19 @@ def resolution(x, group_bound, depth, minimal=True):
                                   tuple(v for _g, v in gens)))
     current_fun, current_gens = fun, gens
     for k in range(1, depth + 1):
-        kfun, kbasis = kernel_functor(current_fun, current_gens, group_bound)
+        kfun, kbasis = kernel_functor(current_fun, current_gens)
         rel_gens = _cover(kfun, group_bound, minimal)
         if not rel_gens:
             return levels
-        diff = _differential_columns(kbasis, rel_gens,
-                                     [g for g, _v in current_gens])
+        diff = relation_columns(kbasis, rel_gens,
+                                [g for g, _v in current_gens])
         if minimal:
             _assert_no_iso_terms(diff)
         levels.append(ResolutionLevel(
             k, tuple(g for g, _v in rel_gens), tuple(diff)))
         current_fun, current_gens = kfun, rel_gens
     # one more kernel tells us whether the resolution actually terminated
-    kfun, _kb = kernel_functor(current_fun, current_gens, group_bound)
+    kfun, _kb = kernel_functor(current_fun, current_gens)
     if _cover(kfun, group_bound, minimal):
         raise DepthExceeded(f"resolution not finished at depth {depth}")
     return levels
@@ -70,30 +71,6 @@ def resolution(x, group_bound, depth, minimal=True):
 
 def _already_bounded(family, bound):
     return family.kind == "TruncatedLeq" and family.bound <= bound
-
-
-def _differential_columns(kbasis, rel_gens, lower_types):
-    cols = []
-    for h, kvec in rel_gens:
-        labels, kern, _free = kbasis(h)
-        free_vec = {}
-        for pos, val in enumerate(kvec):
-            if val:
-                for fpos, fval in enumerate(kern[pos]):
-                    if fval:
-                        free_vec[fpos] = free_vec.get(fpos, 0) + val * fval
-        per_gen = {}
-        for fpos, val in free_vec.items():
-            if val:
-                kk, alpha = labels[fpos]
-                per_gen.setdefault(kk, []).append((alpha, val))
-        col = []
-        for kk in range(len(lower_types)):
-            terms = per_gen.get(kk)
-            col.append(None if not terms else MorphismCombination.make(
-                h, lower_types[kk], terms))
-        cols.append(tuple(col))
-    return cols
 
 
 def _assert_no_iso_terms(diff_columns):

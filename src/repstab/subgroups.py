@@ -249,6 +249,25 @@ def enumerate_subgroups(g, order_filter=None, limit=None):
     return [s for s in got if s.order == order_filter]
 
 
+def minimal_subgroups(g):
+    """The subgroups of order p, in canonical order, without a lattice.
+
+    The elements of order dividing p in G = sum Z/p^l_i are the vectors
+    (p^(l_i - 1) v_i) for v in the socle F_p^r, so the subgroups of order
+    p are the lines of F_p^r, each generated by its vector whose first
+    nonzero coordinate is 1.
+    """
+    p, r = g.p, g.rank
+    scale = [p ** (e - 1) for e in g.exponents]
+    out = []
+    for lead in range(r):
+        for tail in product(range(p), repeat=r - lead - 1):
+            vec = (0,) * lead + (1,) + tail
+            out.append(subgroup_from_generators(
+                g, [[v * s for v, s in zip(vec, scale)]]))
+    return sorted(out, key=lambda s: s.sort_key())
+
+
 def _elementary_subgroups(g):
     """Subspaces of F_p^r via reduced row echelon forms."""
     p = g.p

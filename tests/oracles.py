@@ -98,28 +98,46 @@ def coset_min_bruteforce(s, x):
                for el in s.elements())
 
 
-def dense_rank(rows):
-    """Row reduce a dense rational matrix, independently of the library."""
+def _rref(rows):
+    """Dense reduced row echelon form over Fractions, independently of
+    the library; returns (rows, pivot column list)."""
     mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
+    pivots = []
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [v * inv for v in mat[rank]]
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
         for i in range(len(mat)):
-            if i != rank and mat[i][c]:
+            if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat, pivots
+
+
+def dense_rank(rows):
+    """Rank of a dense rational matrix by row reduction."""
+    return len(_rref(rows)[1])
+
+
+def rref_kernel_fraction(mat):
+    """Kernel basis of a QMatrix in free-variable normal form, read off
+    the dense Fraction RREF: (kernel tuples, free columns)."""
+    rref_rows, pivots = _rref(mat.entries)
+    free = [j for j in range(mat.cols) if j not in pivots]
+    kernel = []
+    for fj in free:
+        vec = [Fraction(0)] * mat.cols
+        vec[fj] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            vec[pj] = -rref_rows[i][fj]
+        kernel.append(tuple(vec))
+    return kernel, free
 
 
 def dense_evaluate_dim(x, t):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repstab.linalg import (QMatrix, FinitePosetDiagram, space,
                             snf_reduce, colimit_of_diagram, coinvariants,
-                            StreamCoker, rref_kernel)
+                            StreamCoker, rref_kernel, sparse_kernel)
 
-from oracles import FractionCoker, dense_rank, normalized_pivots
+from oracles import (FractionCoker, dense_rank, normalized_pivots,
+                     rref_kernel_fraction)
 
 
 def test_snf_reduce_examples():
@@ -52,15 +53,30 @@ def test_rank_nullity_and_projection(rows):
         assert all(out[t] == (1 if t == pos else 0)
                    for t in range(len(proj.indices)))
     # the RREF kernel: annihilated, cols - rank vectors, and vector j is
-    # the delta at free column j on the free columns
+    # the delta at free column j on the free columns; exactly the vectors
+    # of the dense Fraction RREF
     if m:
-        kern, free = rref_kernel(QMatrix.from_rows(rows))
+        mat = QMatrix.from_rows(rows)
+        assert mat.rank() == dense_rank(rows)
+        kern, free = rref_kernel(mat)
+        assert (kern, free) == rref_kernel_fraction(mat)
         assert len(kern) == len(free) == m - rank
         for j, vec in enumerate(kern):
             assert all(sum(rows[i][c] * vec[c] for c in range(m)) == 0
                        for i in range(n))
             assert [vec[c] for c in free] == [int(k == j)
                                               for k in range(len(free))]
+
+
+def test_sparse_kernel_without_constraints():
+    # no rows, or only empty rows: every column is free
+    units = [{j: 1} for j in range(3)]
+    assert sparse_kernel([], 3) == (units, [0, 1, 2])
+    assert sparse_kernel([{}, {}], 3) == (units, [0, 1, 2])
+    assert sparse_kernel([{}], 0) == ([], [])
+    # one row x0 + 2 x2 = 0: columns 1 and 2 are free
+    assert sparse_kernel([{0: 1, 2: 2}], 3) == (
+        [{1: 1}, {2: 1, 0: -2}], [1, 2])
 
 
 def test_first_independent_labels_convention():
@@ -203,10 +219,10 @@ def raises(fn):
 if sys.flags.optimize != 1:
     raise SystemExit("not running under -O")
 count = raises(lambda: intmat.inverse_mod([[2]], 4))
-rref = linalg._rref
-linalg._rref = lambda rows: (rref(rows)[0], [])
+rref_kernel = linalg.rref_kernel
+linalg.rref_kernel = lambda m: (rref_kernel(m)[0], list(range(m.cols)))
 count += raises(lambda: linalg.snf_reduce([[1, 0], [0, 1]]))
-linalg._rref = rref
+linalg.rref_kernel = rref_kernel
 vhom = next(v for v in monoidal.enumerate_vhom(
     cyclic(2, 1), cyclic(2, 2), all_abelian(2)) if not v.spread.is_trivial())
 monoidal.quotient = lambda g, s: (cyclic(2, 5), None)

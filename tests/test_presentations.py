@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from repstab.groups import (group, cyclic, trivial_group, make_morphism,
-                            enumerate_epis, automorphisms)
+                            enumerate_epis, automorphisms, identity_morphism,
+                            quotient_exists)
 from repstab.families import all_abelian, cyclic_family, elementary
 from repstab.presentations import (PresentedObject,
                                    free_object, unit_object, evaluate,
@@ -15,7 +16,9 @@ from repstab.presentations import (PresentedObject,
                                    restrict_presentation, direct_sum,
                                    quotient_by_elements, torsion_example_a,
                                    torsion_example_b, element_class,
-                                   _eval_data)
+                                   _eval_data, functor_of_presentation,
+                                   kernel_functor, _cover,
+                                   _coinduced_functor, _chi_functor)
 from repstab.errors import NotInFamily, NotSurjective, ScaleExceeded
 from repstab.cli import parse_object_spec
 
@@ -123,6 +126,51 @@ def test_structure_map_functoriality():
                 lhs = structure_map(x, g @ f)
                 rhs = structure_map(x, f) @ structure_map(x, g)
                 assert lhs.entries == rhs.entries
+
+
+def _push_only_functors():
+    misc = functor_of_presentation(torsion_example_a(2))
+    return [
+        _coinduced_functor(cyclic_family(2), trivial_group(2)),   # t(1)
+        _coinduced_functor(Z2, C2),
+        _chi_functor(Z2, ChiInterval(lo=C2, hi=C22)),
+        misc,
+        kernel_functor(misc, _cover(misc, 8, minimal=False))[0],
+    ]
+
+
+@pytest.mark.parametrize("fun", _push_only_functors(), ids=[
+    "t(1)", "t(C2)", "chi", "misc-a(2)", "kernel-of-misc-a(2)-cover"])
+def test_explicit_functors_are_functors(fun):
+    # push(id, v) == v and push(a o b, v) == push(b, push(a, v)) on
+    # members of order <= 8, for sampled surjections and vectors
+    rng = random.Random(3)
+    members = list(fun.family.members(max_order=8))
+
+    def vectors(t):
+        dim = fun.space(t).dim
+        units = [{i: 1} for i in range(dim)]
+        mixed = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for i in range(dim)}
+        return units + [{i: v for i, v in mixed.items() if v}]
+
+    for c in members:
+        for v in vectors(c):
+            assert fun.push(identity_morphism(c), v) == v
+        for b in members:
+            if not quotient_exists(b, c):
+                continue
+            epis = enumerate_epis(b, c)
+            alphas = rng.sample(epis, min(3, len(epis)))
+            for a in members:
+                if not quotient_exists(a, b):
+                    continue
+                epis = enumerate_epis(a, b)
+                for beta in rng.sample(epis, min(3, len(epis))):
+                    for alpha in alphas:
+                        for v in vectors(c):
+                            assert fun.push(alpha @ beta, v) == \
+                                fun.push(beta, fun.push(alpha, v))
 
 
 def test_structure_map_identity_and_injectivity():

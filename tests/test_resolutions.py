@@ -105,12 +105,17 @@ sys.exit(repstab.cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("obj,bound", [("unit", 4), ("t(1)", 8)])
+@pytest.mark.parametrize("obj,bound", [
+    ("unit", 4), ("t(1)", 8), ("unit", 64), ("misc-a(2)", 64),
+    ("misc-b", 64), ("misc-a(3)", 81)])
 def test_non_minimal_resolution_is_bounded(obj, bound, tmp_path,
                                            subprocess_env):
     # the counit's entry count grows geometrically with the level here;
     # it is refused before the matrix is built, instead of running for
-    # minutes while memory grows past the limit
+    # minutes while memory grows past the limit.  The levels below the
+    # refused one pass the guard and are kernels of counits with up to
+    # 2^16 entries, which stay sparse: a dense kernel basis of a
+    # 1 x 22905 counit would not fit under the limit
     run = subprocess.run(
         [sys.executable, "-c", _LIMITED_CLI, "resolve", "--object", obj,
          "--bound", str(bound), "--cache", str(tmp_path)],

@@ -4,7 +4,8 @@ from repstab.groups import group, cyclic, make_morphism, enumerate_epis
 from repstab.subgroups import (subgroup_from_generators,
                                enumerate_subgroups, kernel, image, preimage,
                                quotient, normal_quotient_poset, q_leq_n,
-                               trivial_subgroup, full_subgroup)
+                               trivial_subgroup, full_subgroup,
+                               minimal_subgroups)
 from repstab.families import all_abelian, cyclic_family
 from repstab.errors import NotASubgroup, FamilyNotSubmultiplicative, \
     ScaleExceeded
@@ -116,6 +117,13 @@ def test_q_leq_n_examples():
     assert qq == qt
     with pytest.raises(FamilyNotSubmultiplicative):
         q_leq_n(C4, 2, cyclic_family(2))
+
+
+@pytest.mark.parametrize("p,bound", [(2, 64), (3, 81), (5, 125)])
+def test_minimal_subgroups_are_the_order_p_lattice(p, bound):
+    # one subgroup per line of the socle, in the lattice's canonical order
+    for g in all_abelian(p).members(max_order=bound):
+        assert minimal_subgroups(g) == enumerate_subgroups(g, order_filter=p)
 
 
 def test_scale_guard():
