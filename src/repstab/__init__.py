@@ -26,8 +26,8 @@ _EXPORTS = {
     "families": ("Family", "all_abelian", "exponent_bounded",
                  "cyclic_family", "free_modules", "elementary", "truncated",
                  "family_contains", "parse_family_spec", "parse_group_spec"),
-    "linalg": ("BasedSpace", "QMatrix", "FinitePosetDiagram", "snf_reduce",
-               "colimit_of_diagram", "coinvariants"),
+    "linalg": ("BasedSpace", "QMatrix", "FinitePosetDiagram",
+               "colimit_of_diagram"),
     "presentations": ("MorphismCombination", "PresentedObject",
                       "BuiltinObject", "ChiInterval", "free_object",
                       "unit_object", "builtin_to_presentation", "evaluate",

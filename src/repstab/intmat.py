@@ -14,22 +14,6 @@ import math
 from .errors import InvariantViolation
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
-
-
 def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -1,11 +1,12 @@
 """Exact rational linear algebra for evaluating functor presentations.
 
-Everything is exact over Q; no floats anywhere.  Every rank, kernel and
-cokernel runs on one fraction-free echelon, `StreamCoker`: it keeps
+Everything is exact over Q; no floats anywhere.  A vector is a sparse
+dict index -> value, and a linear map is a `QMatrix`: its sparse image
+columns, one such dict per source basis vector, which is the form
+`StreamCoker.offer` takes and `StreamCoker.project` returns.  Every rank,
+kernel and cokernel runs on that one fraction-free echelon: it keeps
 primitive integer pivots and builds Fractions only in the coordinates
-that `reduce`, `project` and `sparse_kernel` return.  Vectors are sparse
-dicts index -> value throughout; dense `QMatrix`es hold structure maps
-and diagram arrows, and `rref_kernel` is a dense view of `sparse_kernel`.
+that `reduce`, `project` and `sparse_kernel` return.
 The cokernel convention is fixed once: the surviving basis of target/im(M)
 is the first maximal independent subset of the ambient basis in label
 order.  Pivot columns therefore always carry their pivot at the *largest*
@@ -17,10 +18,6 @@ oracle in the tests).
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-from .errors import InvariantViolation
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -44,78 +41,54 @@ def space(labels):
 
 @dataclass(frozen=True)
 class QMatrix:
+    """A linear map Q^cols -> Q^rows, stored as its image columns:
+    columns[j] is the image of basis vector j, a sparse dict row -> value
+    with no zero entries."""
+
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples of Fraction
+    columns: tuple
 
-    @classmethod
-    def from_rows(cls, rows):
-        ent = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        r = len(ent)
-        c = len(ent[0]) if ent else 0
-        if any(len(row) != c for row in ent):
-            raise ValueError("ragged rows")
-        return cls(r, c, ent)
-
-    @classmethod
-    def zeros(cls, r, c):
-        return cls(r, c, tuple(tuple(Fraction(0) for _ in range(c))
-                               for _ in range(r)))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, tuple(tuple(Fraction(1 if i == j else 0)
-                                     for j in range(n)) for i in range(n)))
+    def apply(self, vec):
+        """Image of a sparse vector (dict index -> value), kept sparse."""
+        out = {}
+        for j, c in vec.items():
+            for r, v in self.columns[j].items():
+                out[r] = out.get(r, 0) + c * v
+        return {r: v for r, v in out.items() if v}
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum((self.entries[i][k] * other.entries[k][j]
-                                for k in range(self.cols)), Fraction(0)))
-            out.append(tuple(row))
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, vec):
-        return tuple(sum((row[j] * vec[j] for j in range(self.cols)),
-                         Fraction(0)) for row in self.entries)
-
-    def apply_sparse(self, col):
-        """Image of a sparse column (dict index -> value), kept sparse."""
-        out = {}
-        for r, row in enumerate(self.entries):
-            v = sum((row[c] * val for c, val in col.items()), Fraction(0))
-            if v:
-                out[r] = v
-        return out
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return QMatrix(self.rows, other.cols,
+                       tuple(map(self.apply, other.columns)))
 
     def rank(self):
-        return span_rank(self.cols, self.entries)
+        return span_rank(self.rows, self.columns)
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def sparse_kernel(rows, n):
-    """Kernel basis of the matrix with sparse rows (dicts column -> value)
-    and n columns, in free-variable normal form.
+def sparse_kernel(mat):
+    """Kernel basis of a QMatrix in free-variable normal form.
 
     Returns (kernel, free): `free` lists the non-pivot columns of the
     reduced row echelon form, and kernel vector j is the sparse dict of
     the unique kernel vector that is 1 at free[j] and 0 at the other free
-    columns.  The rows go into a `StreamCoker` with column j at position
-    n - 1 - j, so its bottom-most pivots are the leftmost echelon pivots
-    and each pivot is an integer multiple of a reduced echelon row.
+    columns.  The rows of `mat`, gathered from its columns, go into a
+    `StreamCoker` with column j at position n - 1 - j, so its bottom-most
+    pivots are the leftmost echelon pivots and each pivot is an integer
+    multiple of a reduced echelon row.
     """
+    n = mat.cols
+    rows = {}
+    for j, col in enumerate(mat.columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[n - 1 - j] = v
     coker = StreamCoker(n)
-    for row in rows:
-        coker.offer({n - 1 - j: v for j, v in row.items()})
+    for row in rows.values():
+        coker.offer(row)
     free = [j for j in range(n) if n - 1 - j not in coker.pivots]
     kernel = {f: {f: Fraction(1)} for f in free}
     for prow, piv in coker.pivots.items():
@@ -124,16 +97,6 @@ def sparse_kernel(rows, n):
             if r != prow:
                 kernel[n - 1 - r][n - 1 - prow] = Fraction(-v, lead)
     return [kernel[f] for f in free], free
-
-
-def rref_kernel(mat):
-    """Kernel basis of a QMatrix in free-variable normal form, as dense
-    tuples; see `sparse_kernel`."""
-    kernel, free = sparse_kernel(
-        [{j: v for j, v in enumerate(row) if v} for row in mat.entries],
-        mat.cols)
-    return [tuple(vec.get(j, _ZERO) for j in range(mat.cols))
-            for vec in kernel], free
 
 
 class StreamCoker:
@@ -152,7 +115,7 @@ class StreamCoker:
     def __init__(self, nrows):
         self.nrows = nrows
         self.pivots = {}  # pivot row -> primitive integer sparse column
-        self._surviving = None
+        self._position = None
 
     def offer(self, col):
         """Insert a column; returns True if it increased the rank."""
@@ -166,7 +129,7 @@ class StreamCoker:
                 _eliminate(other, c, prow)
                 self.pivots[r] = _primitive(other, r)
         self.pivots[prow] = c
-        self._surviving = None
+        self._position = None
         return True
 
     def close_under(self, frontier, actions):
@@ -191,11 +154,15 @@ class StreamCoker:
     def rank(self):
         return len(self.pivots)
 
+    def _positions(self):
+        """Each surviving row -> its coordinate on the cokernel basis."""
+        if self._position is None:
+            self._position = {r: k for k, r in enumerate(
+                r for r in range(self.nrows) if r not in self.pivots)}
+        return self._position
+
     def surviving(self):
-        if self._surviving is None:
-            self._surviving = tuple(r for r in range(self.nrows)
-                                    if r not in self.pivots)
-        return self._surviving
+        return tuple(self._positions())
 
     def _reduce(self, vec):
         """(c, den): the canonical representative of the class of `vec`
@@ -213,10 +180,11 @@ class StreamCoker:
         return {r: Fraction(v, den) for r, v in c.items()}
 
     def project(self, vec):
-        """Coordinates of the class of `vec` on the surviving basis."""
+        """Coordinates of the class of `vec` on the surviving basis, as a
+        sparse dict; the reduced column has no pivot rows left."""
         c, den = self._reduce(vec)
-        return tuple(Fraction(c[r], den) if r in c else _ZERO
-                     for r in self.surviving())
+        pos = self._positions()
+        return {pos[r]: Fraction(v, den) for r, v in c.items()}
 
 
 def _eliminate(c, piv, r):
@@ -246,43 +214,6 @@ def _primitive(c, prow):
 
 
 @dataclass(frozen=True)
-class CokernelProjection:
-    """Projection onto the canonical cokernel basis.
-
-    `indices` are the surviving ambient basis positions, `matrix` sends an
-    ambient vector to its cokernel coordinates.
-    """
-
-    indices: tuple
-    matrix: QMatrix
-
-
-def snf_reduce(m):
-    """Rank, kernel basis, and cokernel projection of a rational matrix.
-
-    The kernel basis is in the column coordinates of `m`; the cokernel
-    projection uses the first-independent-rows convention described in the
-    module docstring.
-    """
-    if not isinstance(m, QMatrix):
-        m = QMatrix.from_rows(m)
-    coker = StreamCoker(m.rows)
-    kernel, free = rref_kernel(m)
-    rank = m.cols - len(free)
-    for j in range(m.cols):
-        coker.offer({i: m.entries[i][j] for i in range(m.rows)
-                     if m.entries[i][j]})
-    surv = coker.surviving()
-    cols = [coker.project({amb: 1}) for amb in range(m.rows)]
-    proj = CokernelProjection(surv, QMatrix(len(surv), m.rows,
-                                            tuple(zip(*cols))))
-    if rank != coker.rank:
-        raise InvariantViolation(
-            f"row rank {rank} disagrees with column rank {coker.rank}")
-    return rank, kernel, proj
-
-
-@dataclass(frozen=True)
 class FinitePosetDiagram:
     """Finitely many based spaces with compatible arrows between them."""
 
@@ -299,19 +230,17 @@ class FinitePosetDiagram:
         for (a, b), m1 in by_pair.items():
             for (b2, c), m2 in by_pair.items():
                 if b2 == b and (a, c) in by_pair:
-                    if (m2 @ m1).entries != by_pair[(a, c)].entries:
+                    if m2 @ m1 != by_pair[(a, c)]:
                         raise ValueError(
                             f"arrows {a}->{b}->{c} do not compose to {a}->{c}")
         return True
 
 
-def colimit_of_diagram(diagram, validate=False):
+def colimit_of_diagram(diagram):
     """Colimit of based spaces via the standard difference-map cokernel.
 
     Returns (colimit space, per-node structure maps into the colimit).
     """
-    if validate:
-        diagram.validate()
     offsets = []
     total = 0
     labels = []
@@ -321,38 +250,21 @@ def colimit_of_diagram(diagram, validate=False):
         labels.extend((idx, lab) for lab in node.labels)
     coker = StreamCoker(total)
     for s, t, mat in diagram.arrows:
-        for j in range(diagram.nodes[s].dim):
-            col = {offsets[s] + j: 1}
-            for i in range(mat.rows):
-                v = mat.entries[i][j]
-                if v:
-                    col[offsets[t] + i] = col.get(offsets[t] + i, 0) - v
+        for j, img in enumerate(mat.columns):
+            col = {offsets[t] + i: -v for i, v in img.items()}
+            col[offsets[s] + j] = col.get(offsets[s] + j, 0) + 1
             coker.offer(col)
     surv = coker.surviving()
     out_space = BasedSpace(len(surv), tuple(labels[r] for r in surv))
-    structure = []
-    for idx, node in enumerate(diagram.nodes):
-        cols = [coker.project({offsets[idx] + j: 1})
-                for j in range(node.dim)]
-        structure.append(QMatrix(len(surv), node.dim, tuple(
-            tuple(c[k] for c in cols) for k in range(len(surv)))))
+    structure = [QMatrix(len(surv), node.dim, tuple(
+        coker.project({offsets[idx] + j: 1}) for j in range(node.dim)))
+        for idx, node in enumerate(diagram.nodes)]
     return out_space, structure
 
 
-def coinvariants(v, action):
-    """Quotient of `v` by the span of (g - id) over the given generators."""
-    coker = StreamCoker(v.dim)
-    for mat in action:
-        for j in range(v.dim):
-            coker.offer({i: mat.entries[i][j] - (i == j)
-                         for i in range(v.dim)})
-    surv = coker.surviving()
-    return BasedSpace(len(surv), tuple(v.labels[r] for r in surv))
-
-
 def span_rank(dim, vectors):
-    """Rank of a list of vectors (tuples/dicts) in Q^dim."""
+    """Rank of a list of sparse vectors (dicts index -> value) in Q^dim."""
     coker = StreamCoker(dim)
     for vec in vectors:
-        coker.offer(vec if isinstance(vec, dict) else dict(enumerate(vec)))
+        coker.offer(vec)
     return coker.rank

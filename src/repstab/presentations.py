@@ -132,10 +132,10 @@ def _pulled_back(x, index, labels, alpha):
 
 def _eval_data(x, t, limit=None):
     _check_in_range(x, t)
+    config.check_order(t.order, limit, what="evaluation")
     got = x._evals.get(t)
     if got is not None:
         return got
-    config.check_order(t.order, limit, what="evaluation")
     labels = []
     for i, g in enumerate(x.generators):
         for u in enumerate_epis(t, g):
@@ -199,17 +199,9 @@ def structure_map(x, alpha, limit=None):
         raise NotSurjective("structure maps exist along surjections only")
     src = _eval_data(x, alpha.target, limit)   # X evaluated at the target
     dst = _eval_data(x, alpha.source, limit)
-    cols = [dst.coker.project({k: 1})
-            for k in _pulled_back(x, dst.index, src.space.labels, alpha)]
-    rows = tuple(tuple(cols[j][r] for j in range(len(cols)))
-                 for r in range(dst.space.dim))
-    return QMatrix(dst.space.dim, src.space.dim, rows)
-
-
-def element_class(x, t, gen_index, epi):
-    """Coordinates of the class of a presentation basis element [epi]."""
-    data = _eval_data(x, t)
-    return data.coker.project({data.index[(gen_index, epi.matrix)]: 1})
+    return QMatrix(dst.space.dim, src.space.dim, tuple(
+        dst.coker.project({k: 1})
+        for k in _pulled_back(x, dst.index, src.space.labels, alpha)))
 
 
 def indecomposables_Q(x, g, limit=None):
@@ -236,9 +228,8 @@ def filtration_L(x, n, g, limit=None):
         if not quotient_exists(g, h):
             continue
         for alpha in enumerate_epis(g, h):
-            mat = structure_map(x, alpha, limit)
-            for j in range(mat.cols):
-                if coker.offer(dict(enumerate(mat.column(j)))):
+            for j, col in enumerate(structure_map(x, alpha, limit).columns):
+                if coker.offer(col):
                     picked.append((h, alpha, j))
     return BasedSpace(len(picked), tuple(picked))
 
@@ -291,8 +282,7 @@ def functor_of_presentation(x, limit=None):
         # u -> u o alpha is injective, so no two labels land together
         pulled = _pulled_back(x, dst.index,
                               [src.space.labels[pos] for pos in vec], alpha)
-        img = dst.coker.project(dict(zip(pulled, vec.values())))
-        return {pos: v for pos, v in enumerate(img) if v}
+        return dst.coker.project(dict(zip(pulled, vec.values())))
 
     return ExplicitFunctor(x.family, lambda t: evaluate(x, t, limit),
                            push_fn)
@@ -346,14 +336,11 @@ def _counit_kernel(fun, gens, t):
     config.check_candidates(
         fun.space(t).dim * sum(count_epis(t, g) for g, _v in gens),
         config.MAX_COUNIT_ENTRIES, what="counit matrix")
-    labels = []
-    rows = {}
-    for k, (g, vec) in enumerate(gens):
-        for alpha in enumerate_epis(t, g):
-            for i, v in fun.push(alpha, vec).items():
-                rows.setdefault(i, {})[len(labels)] = v
-            labels.append((k, alpha))
-    kern, free = sparse_kernel(rows.values(), len(labels))
+    labels = [(k, alpha) for k, (g, _v) in enumerate(gens)
+              for alpha in enumerate_epis(t, g)]
+    counit = QMatrix(fun.space(t).dim, len(labels), tuple(
+        fun.push(alpha, gens[k][1]) for k, alpha in labels))
+    kern, free = sparse_kernel(counit)
     return labels, kern, free
 
 

@@ -10,11 +10,6 @@ from fractions import Fraction
 from .errors import ParseError
 
 
-def fraction_to_str(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def fraction_from_str(s):
     try:
         num, _, den = s.partition("/")
@@ -30,12 +25,6 @@ def group_to_json(g):
 def group_from_json(d):
     from .groups import GroupType
     return GroupType(int(d["p"]), tuple(int(v) for v in d["lambda"]))
-
-
-def morphism_to_json(f):
-    return {"source": group_to_json(f.source),
-            "target": group_to_json(f.target),
-            "matrix": [list(row) for row in f.matrix]}
 
 
 def morphism_from_json(d):
@@ -59,43 +48,6 @@ def family_from_json(d):
     if d["kind"] == "TruncatedLeq":
         return truncated(family_from_json(d["base"]), int(d["bound"]))
     return Family(d["kind"], int(d["p"]), int(d["n"]) if d.get("n") else None)
-
-
-def qmatrix_to_json(m):
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [[fraction_to_str(v) for v in row]
-                        for row in m.entries]}
-
-
-def qmatrix_from_json(d):
-    from .linalg import QMatrix
-    m = QMatrix.from_rows([[fraction_from_str(v) for v in row]
-                           for row in d["entries"]])
-    if m.rows != d["rows"] or m.cols != d["cols"]:
-        raise ParseError("matrix shape disagrees with entries")
-    return m
-
-
-def presentation_to_json(x):
-    cols = []
-    for h, col in zip(x.rel_sources, x.columns):
-        entries = []
-        for entry in col:
-            if entry is None or not entry.terms:
-                entries.append({"terms": []})
-            else:
-                entries.append({"terms": [
-                    {"matrix": morphism_to_json(mor),
-                     "coeff": fraction_to_str(c)}
-                    for mor, c in entry.terms]})
-        cols.append(entries)
-    out = {"family": family_to_json(x.family),
-           "generators": [group_to_json(g) for g in x.generators],
-           "relation_sources": [group_to_json(h) for h in x.rel_sources],
-           "relations": cols}
-    if x.scale is not None:
-        out["scale"] = x.scale
-    return out
 
 
 def presentation_from_json(d):

@@ -16,10 +16,11 @@ from .groups import (GroupType, make_morphism, enumerate_epis, first_epi,
                      aut_transitive_on_epis, automorphism_generators,
                      orbit_roots, section)
 from .linalg import (BasedSpace, QMatrix, FinitePosetDiagram,
-                     colimit_of_diagram, StreamCoker, span_rank, rref_kernel)
+                     colimit_of_diagram, StreamCoker, span_rank,
+                     sparse_kernel)
 from .subgroups import quotient, normal_quotient_poset, q_leq_n
 from .presentations import (evaluate, evaluate_dim, structure_map,
-                            _eval_data, _pulled_back, restrict_presentation,
+                            _eval_data, restrict_presentation,
                             _orbit_structure)
 from .towers import colimit_tower_stages
 
@@ -115,11 +116,8 @@ def truncate_tau(x, n, g, limit=None):
     for node_idx, lab in colim.labels:
         q, proj = quots[node_idx]
         mat = structure_map(x, proj, limit)
-        pos = nodes[node_idx].labels.index(lab)
-        cols.append(mat.column(pos))
-    rows = tuple(tuple(cols[j][r] for j in range(len(cols)))
-                 for r in range(xg.dim))
-    return colim, QMatrix(xg.dim, colim.dim, rows)
+        cols.append(mat.columns[nodes[node_idx].labels.index(lab)])
+    return colim, QMatrix(xg.dim, colim.dim, tuple(cols))
 
 
 def central_stability_degree(x, test_bound, limit=None):
@@ -196,7 +194,7 @@ def torsion_subspace(x, g, tower, max_stage=6, limit=None):
             raise TowerUnavailable(
                 f"tower stage {alpha.source!r} escapes the family")
         mat = structure_map(x, alpha, limit or _STAGE_ORDER_LIMIT)
-        stages.append(rref_kernel(mat)[0])
+        stages.append(sparse_kernel(mat)[0])
     if not stages:
         return BasedSpace(0, ()), False
     basis = stages[-1]
@@ -206,15 +204,12 @@ def torsion_subspace(x, g, tower, max_stage=6, limit=None):
     exhausted = False
     if len(stages) >= 2:
         prev, last = stages[-2], stages[-1]
-        exhausted = len(prev) == len(last) and _same_span(dim, prev, last)
-    space = BasedSpace(len(basis), tuple(basis))
+        exhausted = (len(prev) == len(last)
+                     and span_rank(dim, prev + last) == len(prev))
+    # labels must be hashable: dense coordinate tuples
+    space = BasedSpace(len(basis), tuple(
+        tuple(vec.get(j, Fraction(0)) for j in range(dim)) for vec in basis))
     return space, exhausted
-
-
-def _same_span(dim, vecs_a, vecs_b):
-    ra = span_rank(dim, list(vecs_a))
-    rall = span_rank(dim, list(vecs_a) + list(vecs_b))
-    return ra == rall
 
 
 def torsion_oracle_via_L(x, g, vec, tower, window=2, max_stage=5,
@@ -223,13 +218,15 @@ def torsion_oracle_via_L(x, g, vec, tower, window=2, max_stage=5,
     torsion exactly when its unit tensor dies in the colimit of the
     tensor with its own representable.
 
-    `vec` is given in X(g) coordinates.  Returns True as soon as the
+    `vec` is a dense coordinate tuple on the X(g) basis, the form of the
+    `torsion_subspace` labels.  Returns True as soon as the
     image vanishes at some stage; returns False when the tower stages
     stabilize with the image still nonzero; raises NotStabilized if the
     window is never reached.
     """
     from .monoidal import tensor_with_generator_data
-    if all(v == 0 for v in vec):
+    sparse = {j: v for j, v in enumerate(vec) if v}
+    if not sparse:
         return True
     # a simple tensor [alpha] (x) alpha^*(v) vanishes exactly when the
     # right factor does, so stagewise death is visible on x alone
@@ -238,9 +235,8 @@ def torsion_oracle_via_L(x, g, vec, tower, window=2, max_stage=5,
         alpha = canonical_tower_epi(tower, m, g)
         if alpha is None:
             continue
-        pushed = structure_map(x, alpha,
-                               limit or _STAGE_ORDER_LIMIT).apply(vec)
-        if all(v == 0 for v in pushed):
+        if not structure_map(x, alpha,
+                             limit or _STAGE_ORDER_LIMIT).apply(sparse):
             return True
         last_stage = m
     if last_stage is None:
@@ -257,23 +253,20 @@ def torsion_oracle_via_L(x, g, vec, tower, window=2, max_stage=5,
     # 1_g (x) v sums val * (slot, theta) over the labels of v; each pulls
     # back to the class e_slot at the last stage, and relations at g pull
     # back to relations, so the tensored object is never evaluated
-    projected = stages[max_stage].project(
-        _unit_tensor_slots(x, g, vec, gen_data, limit))
-    return not any(v != 0 for v in projected)
+    return not stages[max_stage].project(
+        _unit_tensor_slots(x, g, sparse, gen_data, limit))
 
 
 def _unit_tensor_slots(x, g, vec, gen_data, limit=None):
-    """(slot, value) pairs of 1_g (x) v in the tensored presentation: the
-    label (i, u) of X(g) lies in the generator slot whose wide subgroup of
+    """(slot, value) pairs of 1_g (x) v, for v a sparse vector of X(g), in
+    the tensored presentation: the label (i, u) of X(g) lies in the generator slot whose wide subgroup of
     g x G_i is the graph of u."""
     from .monoidal import _product2
     from .subgroups import subgroup_from_generators
     labels = _eval_data(x, g, limit).space.labels
     units = [tuple(1 if t == k else 0 for t in range(g.rank))
              for k in range(g.rank)]
-    for pos, val in enumerate(vec):
-        if not val:
-            continue
+    for pos, val in vec.items():
         i, u = labels[pos]
         prod = _product2(g, x.generators[i])
         img = subgroup_from_generators(
@@ -388,15 +381,10 @@ def _first_noninjective(x, a, b, dims, limit=None):
     rank is constant on Aut(b)-orbits, and there is one orbit: the first
     surjection decides.
     """
-    da, db = dims[a], dims[b]
-    if da == 0:
+    if dims[a] == 0:
         return None
-    data_b = _eval_data(x, b, limit)
-    labels_a = evaluate(x, a, limit).labels
     alpha = _scan_pullback(b, a)
-    cols = [data_b.coker.project({k: 1})
-            for k in _pulled_back(x, data_b.index, labels_a, alpha)]
-    return alpha if span_rank(db, cols) < da else None
+    return alpha if structure_map(x, alpha, limit).rank() < dims[a] else None
 
 
 def _jointly_surjective(x, a, b, dims, limit=None):
@@ -411,20 +399,15 @@ def _jointly_surjective(x, a, b, dims, limit=None):
         return True
     if da == 0:
         return False
-    data_b = _eval_data(x, b, limit)
-    labels_a = evaluate(x, a, limit).labels
-    alpha = _scan_pullback(b, a)
     coker = StreamCoker(db)
     raised = []
-    for k in _pulled_back(x, data_b.index, labels_a, alpha):
-        col = data_b.coker.project({k: 1})
-        col = {t: v for t, v in enumerate(col) if v}
+    for col in structure_map(x, _scan_pullback(b, a), limit).columns:
         if coker.offer(col):
             if coker.rank == db:
                 return True
             raised.append(col)
     coker.close_under(raised, [
-        structure_map(x, sigma, limit).apply_sparse
+        structure_map(x, sigma, limit).apply
         for sigma in automorphism_generators(b)])
     return coker.rank == db
 

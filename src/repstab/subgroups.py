@@ -349,19 +349,6 @@ def preimage(f, s):
     return subgroup_from_lattice_rows(f.source, rows)
 
 
-def image_subgroup(f, s):
-    """Image f(S) of a subgroup of the source."""
-    if s.ambient != f.source:
-        raise NotASubgroup("subgroup not inside the morphism source")
-    gens = []
-    emb = s.embedding_matrix()
-    k = len(emb[0]) if emb else 0
-    for t in range(k):
-        vec = tuple(emb[i][t] for i in range(f.source.rank))
-        gens.append(f(vec))
-    return subgroup_from_generators(f.target, gens)
-
-
 def quotient(g, s):
     """Quotient type and the canonical projection morphism.
 

@@ -96,9 +96,8 @@ class _Stage:
 
 def _connecting(lo, hi):
     """Matrix of the induced coinvariants map: e_i goes to e_i."""
-    cols = [hi.project([(i, 1)]) for i in lo.coker.surviving()]
-    return QMatrix(hi.dim, lo.dim,
-                   tuple(tuple(c[r] for c in cols) for r in range(hi.dim)))
+    return QMatrix(hi.dim, lo.dim, tuple(
+        hi.project([(i, 1)]) for i in lo.coker.surviving()))
 
 
 def colimit_tower_stages(x, tower, window=2, max_stage=8):

@@ -109,10 +109,6 @@ def dagger(values, target_size=None):
     return sec, monotone
 
 
-def is_dag_monotone(values, target_size=None):
-    return dagger(values, target_size)[1]
-
-
 def compose_check(phi, psi):
     """Verify the section of a composite is the composite of sections.
 
@@ -263,16 +259,6 @@ def _word_embedding(u, w):
             return None
         out.append(pos)
         pos += 1
-    return out
-
-
-def enumerate_morphisms(x, y):
-    """All labeled surjections y -> x (exhaustive, for small sizes)."""
-    out = []
-    for values in _surjections(y.size, x.size):
-        d = DagSurjection(y, x, values)
-        if d.is_valid():
-            out.append(d)
     return out
 
 

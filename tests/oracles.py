@@ -125,14 +125,21 @@ def dense_rank(rows):
     return len(_rref(rows)[1])
 
 
-def rref_kernel_fraction(mat):
-    """Kernel basis of a QMatrix in free-variable normal form, read off
-    the dense Fraction RREF: (kernel tuples, free columns)."""
-    rref_rows, pivots = _rref(mat.entries)
-    free = [j for j in range(mat.cols) if j not in pivots]
+def dense_columns(mat):
+    """The columns of a QMatrix as dense Fraction tuples."""
+    return [tuple(Fraction(col.get(r, 0)) for r in range(mat.rows))
+            for col in mat.columns]
+
+
+def rref_kernel_fraction(rows, ncols):
+    """Kernel basis of the dense matrix `rows` with `ncols` columns in
+    free-variable normal form, read off the dense Fraction RREF:
+    (kernel tuples, free columns)."""
+    rref_rows, pivots = _rref(rows)
+    free = [j for j in range(ncols) if j not in pivots]
     kernel = []
     for fj in free:
-        vec = [Fraction(0)] * mat.cols
+        vec = [Fraction(0)] * ncols
         vec[fj] = Fraction(1)
         for i, pj in enumerate(pivots):
             vec[pj] = -rref_rows[i][fj]
@@ -284,9 +291,11 @@ class FractionCoker:
         return {r: v for r, v in c.items() if v}
 
     def project(self, vec):
-        """Coordinates of the class of `vec` on the surviving basis."""
+        """Coordinates of the class of `vec` on the surviving basis, as a
+        sparse dict."""
         red = self.reduce(vec)
-        return tuple(red.get(r, Fraction(0)) for r in self.surviving())
+        return {k: red[r] for k, r in enumerate(self.surviving())
+                if r in red}
 
 
 def normalized_pivots(coker):
@@ -348,7 +357,7 @@ def first_noninjective_bruteforce(x, a, b):
     from repstab.presentations import structure_map
     for alpha in enumerate_epis(b, a):
         mat = structure_map(x, alpha)
-        if dense_rank(mat.entries) < mat.cols:
+        if dense_rank(dense_columns(mat)) < mat.cols:
             return alpha
     return None
 
@@ -360,8 +369,7 @@ def jointly_surjective_bruteforce(x, a, b):
     from repstab.presentations import evaluate_dim, structure_map
     cols = []
     for alpha in enumerate_epis(b, a):
-        mat = structure_map(x, alpha)
-        cols.extend(mat.column(j) for j in range(mat.cols))
+        cols.extend(dense_columns(structure_map(x, alpha)))
     return dense_rank(cols) == evaluate_dim(x, b)
 
 
@@ -410,13 +418,78 @@ def coinvariant_stages_bruteforce(x, tower, max_stage):
         n = evaluate_dim(x, g)
         moved = []
         for psi in automorphism_generators(g):
-            m = structure_map(x, psi)
-            moved.extend([m.entries[r][c] - (r == c) for r in range(n)]
+            m = dense_columns(structure_map(x, psi))
+            moved.extend([m[c][r] - (r == c) for r in range(n)]
                          for c in range(n))
         b = dense_rank(moved)
         dims.append(n - b)
         if i:
             eps = structure_map(x, tower.projection(i - 1))
-            pulled = [list(eps.column(c)) for c in range(eps.cols)]
+            pulled = [list(c) for c in dense_columns(eps)]
             ranks.append(dense_rank(moved + pulled) - b)
     return dims, ranks
+
+
+def mat_mul(a, b):
+    """Product of two integer matrices given as row lists."""
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def image_subgroup(f, s):
+    """Image f(S) of a subgroup of the source of f, generated by the
+    images of the columns of its embedding matrix."""
+    from repstab.subgroups import subgroup_from_generators
+    emb = s.embedding_matrix()
+    gens = [f(tuple(row[t] for row in emb))
+            for t in range(len(emb[0]) if emb else 0)]
+    return subgroup_from_generators(f.target, gens)
+
+
+def enumerate_morphisms(x, y):
+    """All labeled surjections y -> x, over every value list."""
+    from repstab.wqo import DagSurjection
+    out = []
+    for values in product(range(x.size), repeat=y.size):
+        if len(set(values)) == x.size:
+            d = DagSurjection(y, x, values)
+            if d.is_valid():
+                out.append(d)
+    return out
+
+
+def fraction_to_str(q):
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def morphism_to_json(f):
+    from repstab.serialize import group_to_json
+    return {"source": group_to_json(f.source),
+            "target": group_to_json(f.target),
+            "matrix": [list(row) for row in f.matrix]}
+
+
+def presentation_to_json(x):
+    """The documented object format of a PresentedObject, the input that
+    `serialize.presentation_from_json` reads."""
+    from repstab.serialize import group_to_json, family_to_json
+    cols = []
+    for col in x.columns:
+        entries = []
+        for entry in col:
+            if entry is None or not entry.terms:
+                entries.append({"terms": []})
+            else:
+                entries.append({"terms": [
+                    {"matrix": morphism_to_json(mor),
+                     "coeff": fraction_to_str(c)}
+                    for mor, c in entry.terms]})
+        cols.append(entries)
+    out = {"family": family_to_json(x.family),
+           "generators": [group_to_json(g) for g in x.generators],
+           "relation_sources": [group_to_json(h) for h in x.rel_sources],
+           "relations": cols}
+    if x.scale is not None:
+        out["scale"] = x.scale
+    return out

@@ -25,7 +25,7 @@ from repstab.stability import (truncate_tau, central_stability_degree,
                                torsion_subspace, stability_scan, omega_order,
                                trans_bij_check)
 from repstab.towers import tower_for_family, colimit_L
-from repstab.wqo import (dagger, is_dag_monotone, compose_check, lex_compare,
+from repstab.wqo import (dagger, compose_check, lex_compare,
                          ldag_construct_morphism, ols, find_good_pair,
                          tautological_framings, Framing, factor_framing,
                          element_exponent, _surjections, _generates)
@@ -241,10 +241,10 @@ def test_criterion_11_wqo_suite():
     for m in range(1, 6):
         for k in range(1, m + 1):
             mono_mk = [v for v in _surjections(m, k)
-                       if is_dag_monotone(v, k)]
+                       if dagger(v, k)[1]]
             for j in range(1, k + 1):
                 mono_kj = [v for v in _surjections(k, j)
-                           if is_dag_monotone(v, j)]
+                           if dagger(v, j)[1]]
                 for phi in mono_mk:
                     for psi in mono_kj:
                         compose_check(phi, psi)
@@ -252,17 +252,17 @@ def test_criterion_11_wqo_suite():
     from itertools import permutations
     for m in range(1, 7):
         for perm in permutations(range(m)):
-            if is_dag_monotone(perm, m):
+            if dagger(perm, m)[1]:
                 assert perm == tuple(range(m))
         checked += 1
     # lex ordering is precomposition-monotone
     for m in range(1, 5):
         for k in range(1, m + 1):
             homset = [v for v in _surjections(m, k)
-                      if is_dag_monotone(v, k)]
+                      if dagger(v, k)[1]]
             for w in range(m, 6):
                 thetas = [v for v in _surjections(w, m)
-                          if is_dag_monotone(v, m)]
+                          if dagger(v, m)[1]]
                 for theta in thetas:
                     for a in homset:
                         for b in homset:

@@ -385,7 +385,7 @@ def test_cache_hit_skips_compute_layer(command, tmp_path, subprocess_env):
 
 def _object_files(tmp_path):
     from repstab.presentations import torsion_example_b
-    from repstab.serialize import presentation_to_json
+    from oracles import presentation_to_json
     good = presentation_to_json(torsion_example_b())
     no_gens = {k: v for k, v in good.items() if k != "generators"}
     extra_col = dict(good, relations=good["relations"] * 2)

@@ -12,6 +12,8 @@ from repstab.monoidal import (enumerate_wide, count_wide, tensor_decompose,
 from repstab.presentations import evaluate_dim, torsion_example_a
 from repstab.errors import FamilyNotGlobalMultiplicative
 
+from oracles import image_subgroup
+
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
 C22 = group(2, [1, 1])
@@ -40,7 +42,6 @@ def test_wide_triples_unique():
         prod = w.product
         for idx in range(2):
             proj = prod.projection(idx)
-            from repstab.subgroups import image_subgroup
             assert image_subgroup(proj, w.embedded).order == \
                 prod.factors[idx].order
 

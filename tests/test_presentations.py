@@ -15,14 +15,14 @@ from repstab.presentations import (PresentedObject,
                                    ChiInterval, builtin_to_presentation,
                                    restrict_presentation, direct_sum,
                                    quotient_by_elements, torsion_example_a,
-                                   torsion_example_b, element_class,
+                                   torsion_example_b,
                                    _eval_data, functor_of_presentation,
                                    kernel_functor, _cover,
                                    _coinduced_functor, _chi_functor)
 from repstab.errors import NotInFamily, NotSurjective, ScaleExceeded
 from repstab.cli import parse_object_spec
 
-from oracles import (dense_evaluate_dim, normalized_pivots,
+from oracles import (dense_columns, dense_evaluate_dim, normalized_pivots,
                      relation_span_bruteforce, simple_presentation_bruteforce)
 
 C2 = cyclic(2, 1)
@@ -106,6 +106,20 @@ def test_evaluation_above_the_scale_is_refused():
             evaluate_dim(parse_object_spec(spec), group(2, [1] * 5))
 
 
+def test_evaluation_bound_holds_on_a_warm_cache():
+    # the order bound is checked before the memo is read, so a cached
+    # value does not slip past a bound that a fresh object would refuse
+    c23 = group(2, [1, 1, 1])
+    warm, fresh = torsion_example_b(), torsion_example_b()
+    assert evaluate_dim(warm, c23) == 0
+    for x in (warm, fresh):
+        with pytest.raises(ScaleExceeded):
+            _eval_data(x, c23, 4)
+        with pytest.raises(ScaleExceeded):
+            evaluate(x, c23, limit=4)
+    assert evaluate_dim(warm, c23) == 0
+
+
 def test_evaluate_generator_example():
     e = free_object(Z2, C2)
     assert evaluate_dim(e, C22) == 3
@@ -125,7 +139,7 @@ def test_structure_map_functoriality():
             for g in enumerate_epis(b, c)[:4]:
                 lhs = structure_map(x, g @ f)
                 rhs = structure_map(x, f) @ structure_map(x, g)
-                assert lhs.entries == rhs.entries
+                assert dense_columns(lhs) == dense_columns(rhs)
 
 
 def _push_only_functors():
@@ -176,7 +190,7 @@ def test_explicit_functors_are_functors(fun):
 def test_structure_map_identity_and_injectivity():
     e = free_object(Z2, C2)
     ident = structure_map(e, make_morphism(C2, C2, [[1]]))
-    assert ident.entries == ((Fraction(1),),)
+    assert dense_columns(ident) == [(Fraction(1),)]
     m = structure_map(e, make_morphism(C4, C2, [[1]]))
     assert m.rank() == 1  # generators are torsion free
 
@@ -323,8 +337,9 @@ def test_perfect_not_projective_report():
 
 
 def test_element_class_roundtrip():
+    # the class of the basis element [u] of X(C3) labeled at position pos
+    # has the single coordinate 1 at pos
     x = torsion_example_a(3)
-    data = evaluate(x, C3)
-    for pos, (i, u) in enumerate(data.labels):
-        vec = element_class(x, C3, i, u)
-        assert vec[pos] == 1
+    data = _eval_data(x, C3)
+    for pos, (i, u) in enumerate(data.space.labels):
+        assert data.coker.project({data.index[(i, u.matrix)]: 1}) == {pos: 1}

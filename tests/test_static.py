@@ -3,6 +3,8 @@
 Checks must survive `python -O`, which strips `assert` statements, so the
 library raises typed errors instead.  Every import must be used; the
 package `__init__` is exempt, since its lazy namespace re-exports names.
+Every top-level definition must be reachable from the namespace or from
+another part of the library.
 """
 
 import ast
@@ -41,3 +43,26 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_every_top_level_definition_is_reachable():
+    # a top-level def or class must be exported or referenced, by name or
+    # attribute, somewhere in the library; helpers only tests use belong
+    # in tests/oracles.py.  The PEP 562 hooks are called by the runtime.
+    trees = [_tree(path) for path in SOURCES]
+    exported = {name for names in repstab._EXPORTS.values()
+                for name in names}
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreached = sorted(
+        (path.name, node.name) for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported | referenced | {"__getattr__",
+                                                      "__dir__"})
+    assert unreached == [], f"unreachable definitions {unreached}"
