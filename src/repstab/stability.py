@@ -259,20 +259,19 @@ def torsion_oracle_via_L(x, g, vec, tower, window=2, max_stage=5,
 
 def _unit_tensor_slots(x, g, vec, gen_data, limit=None):
     """(slot, value) pairs of 1_g (x) v, for v a sparse vector of X(g), in
-    the tensored presentation: the label (i, u) of X(g) lies in the generator slot whose wide subgroup of
-    g x G_i is the graph of u."""
-    from .monoidal import _product2
+    the tensored presentation: the label (i, u) of X(g) lies in the
+    generator slot whose wide subgroup of g x G_i is the graph of u."""
+    from .monoidal import Product, _generator_slot
     from .subgroups import subgroup_from_generators
     labels = _eval_data(x, g, limit).space.labels
     units = [tuple(1 if t == k else 0 for t in range(g.rank))
              for k in range(g.rank)]
     for pos, val in vec.items():
         i, u = labels[pos]
-        prod = _product2(g, x.generators[i])
+        prod = Product.of(g, x.generators[i])
         img = subgroup_from_generators(
             prod.group, [prod.embed(unit, u(unit)) for unit in units])
-        yield next(s for s, (ii, w) in enumerate(gen_data)
-                   if ii == i and w.embedded == img), Fraction(val)
+        yield _generator_slot(gen_data, i, img), Fraction(val)
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,11 @@ class Subgroup:
         return tuple(sum(c * ai for c, ai in zip(col, a)) % n
                      for col, n in zip(proj, orders))
 
-    def embedding_matrix(self):
-        """Columns are the generator vectors: maps abstract coords in."""
-        gens, _orders = self._generator_data()
-        r = self.ambient.rank
-        return [[gens[k][i] for k in range(len(gens))] for i in range(r)]
+    @property
+    def generators(self):
+        """The generator vectors g_k: abstract coordinates c map in to
+        sum c_k g_k, and abstract_coordinates maps back."""
+        return self._generator_data()[0]
 
     def __repr__(self):
         return f"Subgroup({self.ambient!r}, order={self.order})"
@@ -334,19 +334,6 @@ def image(f):
     cols = [[f.matrix[i][j] for i in range(f.target.rank)]
             for j in range(f.source.rank)]
     return subgroup_from_generators(f.target, cols)
-
-
-def preimage(f, s):
-    """Preimage of a subgroup of the target under a morphism."""
-    if s.ambient != f.target:
-        raise NotASubgroup("subgroup not inside the morphism target")
-    r, t = f.source.rank, f.target.rank
-    mat = [[f.matrix[i][j] for j in range(r)]
-           + [-s.basis[k][i] for k in range(t)]
-           for i in range(t)]
-    ker = integer_kernel(mat, r + t)
-    rows = [k[:r] for k in ker]
-    return subgroup_from_lattice_rows(f.source, rows)
 
 
 def quotient(g, s):

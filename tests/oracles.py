@@ -438,12 +438,51 @@ def mat_mul(a, b):
 
 def image_subgroup(f, s):
     """Image f(S) of a subgroup of the source of f, generated by the
-    images of the columns of its embedding matrix."""
+    images of its generators."""
     from repstab.subgroups import subgroup_from_generators
-    emb = s.embedding_matrix()
-    gens = [f(tuple(row[t] for row in emb))
-            for t in range(len(emb[0]) if emb else 0)]
-    return subgroup_from_generators(f.target, gens)
+    return subgroup_from_generators(f.target, [f(v) for v in s.generators])
+
+
+def preimage(f, s):
+    """Preimage of a subgroup of the target under a morphism: the x with
+    f(x) = y for some y in s, read off one integer kernel."""
+    from repstab.errors import NotASubgroup
+    from repstab.intmat import integer_kernel
+    from repstab.subgroups import subgroup_from_lattice_rows
+    if s.ambient != f.target:
+        raise NotASubgroup("subgroup not inside the morphism target")
+    r, t = f.source.rank, f.target.rank
+    mat = [[f.matrix[i][j] for j in range(r)]
+           + [-s.basis[k][i] for k in range(t)]
+           for i in range(t)]
+    rows = [k[:r] for k in integer_kernel(mat, r + t)]
+    return subgroup_from_lattice_rows(f.source, rows)
+
+
+def times_identity(phi, g):
+    """(phi x 1): T' x g -> T x g as a morphism, column by column from the
+    images of the unit vectors."""
+    from repstab.groups import make_morphism
+    from repstab.monoidal import Product
+    src, dst = Product.of(phi.source, g), Product.of(phi.target, g)
+    n = src.group.rank
+    cols = []
+    for k in range(n):
+        s, x = src.split(tuple(1 if i == k else 0 for i in range(n)))
+        cols.append(dst.embed(phi(s), x))
+    return make_morphism(src.group, dst.group,
+                         [[c[i] for c in cols]
+                          for i in range(dst.group.rank)])
+
+
+def is_pushforward_bruteforce(phi_x_1, wp, w, lamp, lam):
+    """(phi x 1)(W') == W and lam' == lam o (phi x 1), element by element."""
+    a_up, a_dn = wp.embedded, w.embedded
+    pairs = [(v, phi_x_1(v)) for v in a_up.elements()]
+    if {img for _v, img in pairs} != set(a_dn.elements()):
+        return False
+    return all(lamp(a_up.abstract_coordinates(v))
+               == lam(a_dn.abstract_coordinates(img)) for v, img in pairs)
 
 
 def enumerate_morphisms(x, y):

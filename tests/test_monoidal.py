@@ -12,7 +12,10 @@ from repstab.monoidal import (enumerate_wide, count_wide, tensor_decompose,
 from repstab.presentations import evaluate_dim, torsion_example_a
 from repstab.errors import FamilyNotGlobalMultiplicative
 
-from oracles import image_subgroup
+from repstab import monoidal
+
+from oracles import (image_subgroup, preimage, times_identity,
+                     is_pushforward_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -188,3 +191,57 @@ def test_product_coordinates():
     pr = prod.projection(1)
     assert pl((3, 1)) == (1,)
     assert pr((3, 1)) == (3,)
+    assert prod.split((3, 1)) == ((1,), (3,))
+    # split inverts embed on every element of every product of 2-groups of
+    # order <= 8 and of 3-groups of order <= 9; projections read the
+    # inclusion rows
+    for members in (Z2.members(8), all_abelian(3).members(9)):
+        for g in members:
+            for h in members:
+                prod = Product.of(g, h)
+                for x in g.elements():
+                    for y in h.elements():
+                        assert prod.split(prod.embed(x, y)) == (x, y)
+                for idx in (0, 1):
+                    assert prod.projection(idx).matrix == tuple(
+                        map(tuple, prod.inclusion_rows(idx)))
+
+
+def _pullback_grid():
+    """(phi, g, h) over 2-groups with |T'| |g| |h| <= 16, one surjection
+    phi: T' -> T per kernel: the others differ from it by an automorphism
+    of T, which only relabels the pairs (W, lam) downstairs."""
+    members = Z2.members(16)
+    for tp in members:
+        for g in members:
+            for h in members:
+                if tp.order * g.order * h.order <= 16:
+                    for k in enumerate_subgroups(tp):
+                        yield quotient(tp, k)[1], g, h
+
+
+def test_pushforward_and_pullback_closed_forms():
+    # _is_pushforward checks generators only, and the canonical pullback
+    # is decided by |W'| = |W| |ker phi|; both against element-wise
+    # oracles over every (W, lam, W', lam') of each phi in the grid
+    cases = pushforwards = 0
+    for phi, g, h in _pullback_grid():
+        t, tp = phi.target, phi.source
+        phi_x_1 = times_identity(phi, g)
+        found = 0
+        for w, lam, _sigma in monoidal._enumerate_n_explicit(t, g, h):
+            pulled = preimage(phi_x_1, w.embedded)
+            for wp, lamp, _sigmap in monoidal._enumerate_n_explicit(tp, g, h):
+                fast = monoidal._is_pushforward(phi, wp, w, lamp, lam)
+                assert fast == is_pushforward_bruteforce(phi_x_1, wp, w,
+                                                         lamp, lam)
+                if fast:
+                    found += 1
+                    assert (wp.embedded == pulled) == (
+                        wp.embedded.order
+                        == w.embedded.order * tp.order // t.order)
+        out = sigma_pullback_check(phi, g, h, Z2)
+        assert out["ok"] and out["pairs_checked"] == found
+        cases += 1
+        pushforwards += found
+    assert cases > 300 and pushforwards > 700, (cases, pushforwards)

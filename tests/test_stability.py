@@ -16,7 +16,7 @@ from repstab.stability import (truncate_tau, central_stability_degree,
 from repstab.towers import tower_for_family
 from repstab.monoidal import tensor_with_generator
 from repstab.errors import NotAInfinity, FamilyNotExpansive, \
-    FamilyUnsupported
+    FamilyUnsupported, ShapeMismatch
 from repstab import stability
 
 from oracles import (dense_columns, dense_rank,
@@ -154,6 +154,14 @@ def test_oracle_keeps_generator_slots_apart():
     for vec in [(1, -1, 0), (0, 1, 1), (1, 1, 1)]:
         vec = tuple(Fraction(v) for v in vec)
         assert torsion_oracle_via_L(e, c22, vec, tw, max_stage=4) is False
+
+
+def test_missing_generator_slot_is_typed():
+    # a label whose wide subgroup lies in no generator slot is a typed
+    # error, not a StopIteration leaking out of the generator
+    with pytest.raises(ShapeMismatch):
+        list(stability._unit_tensor_slots(torsion_example_b(),
+                                          group(2, [1, 1]), {0: 1}, []))
 
 
 def test_tensor_with_torsion_is_torsion():

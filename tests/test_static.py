@@ -4,7 +4,7 @@ Checks must survive `python -O`, which strips `assert` statements, so the
 library raises typed errors instead.  Every import must be used; the
 package `__init__` is exempt, since its lazy namespace re-exports names.
 Every top-level definition must be reachable from the namespace or from
-another part of the library.
+another part of the library.  Only `Product` reads product coordinates.
 """
 
 import ast
@@ -66,3 +66,18 @@ def test_every_top_level_definition_is_reachable():
         and node.name not in exported | referenced | {"__getattr__",
                                                       "__dir__"})
     assert unreached == [], f"unreachable definitions {unreached}"
+
+
+def test_product_coordinates_stay_behind_product():
+    # how an element of a product is addressed is decided in one place:
+    # outside `class Product` nothing reads an attribute named `positions`
+    reads = []
+    for path in SOURCES:
+        tree = _tree(path)
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Product"
+                  for node in ast.walk(cls)}
+        reads += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "positions" and id(node) not in inside]
+    assert reads == [], f"reads of .positions outside Product: {reads}"

@@ -2,7 +2,7 @@ import pytest
 
 from repstab.groups import group, cyclic, make_morphism, enumerate_epis
 from repstab.subgroups import (subgroup_from_generators,
-                               enumerate_subgroups, kernel, image, preimage,
+                               enumerate_subgroups, kernel, image,
                                quotient, normal_quotient_poset, q_leq_n,
                                trivial_subgroup, full_subgroup,
                                minimal_subgroups)
@@ -11,7 +11,7 @@ from repstab.errors import NotASubgroup, FamilyNotSubmultiplicative, \
     ScaleExceeded
 
 from oracles import (coordinates_bruteforce, coset_min_bruteforce,
-                     subgroups_bruteforce)
+                     subgroups_bruteforce, preimage)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
