@@ -93,34 +93,20 @@ def _cached(args, compute, command, *parts):
 # commands
 
 
-def cmd_decompose_tensor(args):
+def cmd_decompose(args):
     from .families import parse_family_spec, parse_group_spec
     fam = parse_family_spec(args.family)
     g = parse_group_spec(args.g)
     h = parse_group_spec(args.h)
 
     def compute():
-        from .monoidal import tensor_decompose
-        summands = tensor_decompose(g, h, fam)
-        return serialize.decomposition_to_json(summands, fam)
+        from . import monoidal
+        decompose = (monoidal.tensor_decompose
+                     if args.command == "decompose-tensor"
+                     else monoidal.hom_decompose)
+        return serialize.decomposition_to_json(decompose(g, h, fam), fam)
 
-    _emit(args, _cached(args, compute, "decompose-tensor", fam.key(), g.key(),
-                        h.key()))
-    return 0
-
-
-def cmd_decompose_hom(args):
-    from .families import parse_family_spec, parse_group_spec
-    fam = parse_family_spec(args.family)
-    g = parse_group_spec(args.g)
-    h = parse_group_spec(args.h)
-
-    def compute():
-        from .monoidal import hom_decompose
-        summands = hom_decompose(g, h, fam)
-        return serialize.decomposition_to_json(summands, fam)
-
-    _emit(args, _cached(args, compute, "decompose-hom", fam.key(), g.key(),
+    _emit(args, _cached(args, compute, args.command, fam.key(), g.key(),
                         h.key()))
     return 0
 
@@ -325,17 +311,12 @@ def build_parser():
         p.add_argument("--scale", type=_at_least(1), default=16,
                        help="presentation scale for builtin fixtures")
 
-    p = sub.add_parser("decompose-tensor")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--family", required=True)
-    p.set_defaults(fn=cmd_decompose_tensor)
-
-    p = sub.add_parser("decompose-hom")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--family", required=True)
-    p.set_defaults(fn=cmd_decompose_hom)
+    for name in ("decompose-tensor", "decompose-hom"):
+        p = sub.add_parser(name)
+        p.add_argument("--g", required=True)
+        p.add_argument("--h", required=True)
+        p.add_argument("--family", required=True)
+        p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("eval")
     p.add_argument("--object", required=True)

@@ -487,7 +487,7 @@ def lift_epi(alpha, beta):
     rank(A) >= rank(B), returns gamma: A -> B with beta o gamma = alpha and
     gamma surjective.
     """
-    a_t, b_t, c_t = alpha.source, beta.source, alpha.target
+    a_t, b_t = alpha.source, beta.source
     if alpha.target != beta.target:
         raise ShapeMismatch("cospan legs must share a target")
     if not (is_surjective(alpha) and is_surjective(beta)):
@@ -496,37 +496,41 @@ def lift_epi(alpha, beta):
         raise ShapeMismatch("the lifting source must be a free module")
     if a_t.rank < b_t.rank:
         raise ShapeMismatch("rank of the free source must dominate")
-    p = a_t.p
-    n_exp = a_t.exponent_log
-    if b_t.exponent_log > n_exp:
+    if b_t.exponent_log > a_t.exponent_log:
         raise ShapeMismatch("target exponent must divide the source exponent")
-    nn, mm, ll = a_t.rank, b_t.rank, c_t.rank
-    b_vecs = _complete_mod_p(section(beta), b_t, p)
-    # make the completed vectors map to 0 under beta
-    for idx in range(ll, mm):
-        img = beta(tuple(v % m for v, m in zip(b_vecs[idx], b_t.moduli())))
-        for i in range(ll):
-            if img[i]:
-                for j in range(mm):
-                    b_vecs[idx][j] -= img[i] * b_vecs[i][j]
-    a_vecs = _complete_mod_p(section(alpha), a_t, p)
-    for idx in range(ll, nn):
-        img = alpha(tuple(v % m for v, m in zip(a_vecs[idx], a_t.moduli())))
-        for i in range(ll):
-            if img[i]:
-                for j in range(nn):
-                    a_vecs[idx][j] -= img[i] * a_vecs[i][j]
-    # gamma sends a_i to b_i (i < mm) and to 0 beyond; express in standard
-    # coordinates by inverting the a-basis mod p^n
-    q = p ** n_exp
+    # gamma sends a_i to b_i (i < rank B) and to 0 beyond; express in
+    # standard coordinates by inverting the a-basis mod p^n
+    nn, mm = a_t.rank, b_t.rank
+    a_vecs, b_vecs = _adapted_basis(alpha), _adapted_basis(beta)
+    q = a_t.p ** a_t.exponent_log
     amat = [[a_vecs[k][i] % q for k in range(nn)] for i in range(nn)]
     ainv = inverse_mod(amat, q)
-    rows = []
-    for i in range(mm):
-        row = [sum(b_vecs[k][i] * ainv[k][j] for k in range(mm)) for j in range(nn)]
-        rows.append(row)
-    gamma = make_morphism(a_t, b_t, rows)
-    return gamma
+    rows = [[sum(b_vecs[k][i] * ainv[k][j] for k in range(mm))
+             for j in range(nn)] for i in range(mm)]
+    return make_morphism(a_t, b_t, rows)
+
+
+def _adapted_basis(f):
+    """A section of f completed to a Frattini basis of f.source, with the
+    extra vectors moved into ker f.
+
+    Entry i < rank(target) is an integer preimage of e_i, the later entries
+    map to 0, and together they reduce to a basis of source/p source.
+    Each unit vector e_k that raises the rank mod p is taken, minus the
+    section's lift of its image; the section already spans that image, so
+    the move keeps the span mod p.
+    """
+    src, ll = f.source, f.target.rank
+    vecs = section(f)
+    for k in range(src.rank):
+        if len(vecs) == src.rank:
+            break
+        unit = [int(i == k) for i in range(src.rank)]
+        if _rank_mod_p(vecs + [unit], src.p) > len(vecs):
+            img = f(unit)
+            vecs.append([u - sum(img[i] * vecs[i][j] for i in range(ll))
+                         for j, u in enumerate(unit)])
+    return vecs
 
 
 def section(f):
@@ -570,20 +574,3 @@ def orbit_roots(n, pairs):
         if ra != rb:
             parent[ra] = rb
     return [find(i) for i in range(n)]
-
-
-def _complete_mod_p(vecs, gtype, p):
-    """Extend vectors to a full generating family (a basis of G/pG)."""
-    r = gtype.rank
-    rows = [[v % p for v in vec] for vec in vecs]
-    chosen = [list(v) for v in vecs]
-    cur = _rank_mod_p(rows, p) if rows else 0
-    for k in range(r):
-        if len(chosen) == r:
-            break
-        cand = [1 if i == k else 0 for i in range(r)]
-        if _rank_mod_p(rows + [cand], p) > cur:
-            rows.append(cand)
-            chosen.append(list(cand))
-            cur += 1
-    return chosen

@@ -467,11 +467,6 @@ def unit_object(family):
     return free_object(family, trivial_group(family.p))
 
 
-def _aut_orbit_count(g, t):
-    """Number of orbits of Aut(g) precomposition on Epi(g, t)."""
-    return len(_orbit_reps(g, t))
-
-
 def builtin_to_presentation(b, scale, limit=None):
     """Presentation agreeing with the builtin on all orders <= scale."""
     config.check_order(scale, limit, what="builtin presentation")
@@ -530,8 +525,7 @@ def _simple_presentation(family, g, scale):
 
 def _coinduced_functor(family, g):
     def space_fn(t):
-        n = _aut_orbit_count(g, t)
-        return BasedSpace(n, tuple(_orbit_reps(g, t)))
+        return BasedSpace(len(_orbit_reps(g, t)), tuple(_orbit_reps(g, t)))
 
     def push_fn(alpha, vec):
         # the pullback precomposes orbit indicator functions with

@@ -2,7 +2,9 @@
 
 Every "eventually" style verdict here is a bounded-range report carrying
 the range it was verified on; nothing extrapolates beyond the scanned
-groups.
+groups.  Scans and torsion walk the chain `ColimitTower.group` of the
+family's tower; its groups are homocyclic, so one surjection onto a group
+stands for all of them (`groups.aut_transitive_on_epis`).
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from fractions import Fraction
 from .errors import (TowerUnavailable, NotStabilized, NotAInfinity,
                      FamilyUnsupported, FamilyNotExpansive,
                      FamilyNotSubmultiplicative, InvariantViolation)
-from .groups import (GroupType, make_morphism, enumerate_epis, first_epi,
+from .groups import (Morphism, make_morphism, enumerate_epis, first_epi,
                      count_epis, quotient_exists, delta_rank,
                      aut_transitive_on_epis, automorphism_generators,
                      orbit_roots, section)
@@ -22,7 +24,7 @@ from .subgroups import quotient, normal_quotient_poset, q_leq_n
 from .presentations import (evaluate, evaluate_dim, structure_map,
                             _eval_data, restrict_presentation,
                             _orbit_structure)
-from .towers import colimit_tower_stages
+from .towers import colimit_tower_stages, tower_for_family
 
 # tower stage groups may exceed the interactive desk bound; their cost is
 # governed by the stage budget and the candidate guards instead
@@ -133,9 +135,8 @@ def central_stability_degree(x, test_bound, limit=None):
         ns.append(q)
         q *= p
     table = {}
-    iso_at = {}
+    failed = set()
     for n in ns:
-        all_ok = True
         for g in members:
             colim, counit = truncate_tau(x, n, g, limit)
             xg_dim = evaluate_dim(x, g, limit)
@@ -143,13 +144,8 @@ def central_stability_degree(x, test_bound, limit=None):
             row = table.setdefault(g.key(), {"dim": xg_dim})
             row[f"tau_iso({n})"] = ok
             if not ok:
-                all_ok = False
-        iso_at[n] = all_ok
-    degree = None
-    for idx, n in enumerate(ns):
-        if all(iso_at[m] for m in ns[idx:]):
-            degree = n
-            break
+                failed.add(n)
+    degree = _stable_from(ns, failed)
     witnesses = tuple(
         (n, key) for n in ns for key, row in table.items()
         if not row.get(f"tau_iso({n})", True))
@@ -166,28 +162,20 @@ def central_stability_degree(x, test_bound, limit=None):
 # torsion
 
 
-def canonical_tower_epi(tower, stage, g):
-    """The coordinatewise surjection tower.group(stage) -> g, when any
-    surjection exists."""
-    src = tower.group(stage)
-    if not quotient_exists(src, g):
-        return None
-    rows = [[1 if j == i else 0 for j in range(src.rank)]
-            for i in range(g.rank)]
-    return make_morphism(src, g, rows)
-
-
 def torsion_subspace(x, g, tower, max_stage=6, limit=None):
     """Vectors of X(g) killed by pullback to deep tower stages.
 
     Returns (BasedSpace whose labels are the torsion basis vectors in X(g)
     coordinates, exhausted flag).  Exhausted means two consecutive stages
     agreed; for finitely presented objects the union then remains stable.
+    Each stage pulls back along its first surjection onto g: for sigma in
+    the transitive Aut of the stage, (alpha o sigma)^* = sigma^* o alpha^*
+    has the kernel of alpha^*, and the labels depend only on the kernel.
     """
     dim = evaluate_dim(x, g, limit)
     stages = []
     for stage in range(max_stage + 1):
-        alpha = canonical_tower_epi(tower, stage, g)
+        alpha = first_epi(tower.group(stage), g)
         if alpha is None:
             continue
         if not x.family.contains(alpha.source):
@@ -229,10 +217,11 @@ def torsion_oracle_via_L(x, g, vec, tower, window=2, max_stage=5,
     if not sparse:
         return True
     # a simple tensor [alpha] (x) alpha^*(v) vanishes exactly when the
-    # right factor does, so stagewise death is visible on x alone
+    # right factor does, so stagewise death is visible on x alone, and
+    # along any one surjection from the stage, as in `torsion_subspace`
     last_stage = None
     for m in range(max_stage + 1):
-        alpha = canonical_tower_epi(tower, m, g)
+        alpha = first_epi(tower.group(m), g)
         if alpha is None:
             continue
         if not structure_map(x, alpha,
@@ -281,14 +270,12 @@ def _unit_tensor_slots(x, g, vec, gen_data, limit=None):
 _SCAN_FAMILIES = ("Cpinf", "Fpn", "Ep")
 
 
-def _scan_members(family, max_rank):
-    if family.kind in ("Ep", "Fpn"):
-        n = family.n if family.kind == "Fpn" else 1
-        return [GroupType(family.p, (n,) * r) if r else
-                GroupType(family.p, ()) for r in range(max_rank + 1)]
-    # cyclic chain: exponent plays the role of the rank budget
-    return [GroupType(family.p, (e,)) if e else GroupType(family.p, ())
-            for e in range(max_rank + 1)]
+def _stable_from(items, failed):
+    """The first of `items` from which no later item is in `failed`."""
+    for i, item in enumerate(items):
+        if failed.isdisjoint(items[i:]):
+            return item
+    return None
 
 
 def stability_scan(x, restricted_family, max_rank, limit=None):
@@ -305,39 +292,30 @@ def stability_scan(x, restricted_family, max_rank, limit=None):
         xr = restrict_presentation(x, restricted_family)
     else:
         xr = x   # evaluation-only restriction
-    members = _scan_members(restricted_family, max_rank)
+    # (Z/p^n)^r for Fpn and Ep; Z/p^r for Cpinf, the exponent playing the
+    # role of the rank budget
+    tower = tower_for_family(restricted_family)
+    members = [tower.group(r) for r in range(max_rank + 1)]
     dims = {g: evaluate_dim(xr, g, limit) for g in members}
     table = {g.key(): {"dim": dims[g]} for g in members}
 
+    # a chain: each member is a quotient of every later one
     inj_fail = {}
-    for a in members:
-        for b in members:
-            if b.order <= a.order or not quotient_exists(b, a):
-                continue
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
             wit = _first_noninjective(xr, a, b, dims, limit)
             if wit is not None:
                 inj_fail[a] = (b, wit)
                 break
-    etf = None
-    for a in members:
-        if all((aa not in inj_fail) for aa in members
-               if aa.order >= a.order):
-            etf = a.order
-            break
     surj_fail = {}
-    for a in members:
-        for b in members:
-            if b.order < a.order or not quotient_exists(b, a) or a == b:
-                continue
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
             if not _jointly_surjective(xr, a, b, dims, limit):
                 surj_fail[a] = b
                 break
-    stably = None
-    for a in members:
-        if all((aa not in surj_fail) for aa in members
-               if aa.order >= a.order):
-            stably = a.order
-            break
+    orders = [a.order for a in members]
+    etf = _stable_from(orders, {a.order for a in inj_fail})
+    stably = _stable_from(orders, {a.order for a in surj_fail})
     for g in members:
         table[g.key()]["flags"] = ";".join(
             fl for fl in ((f"inj-fail->{inj_fail[g][0].key()}"
@@ -421,7 +399,12 @@ def omega_order(x, n, family, max_rank, limit=None):
     if not family.expansive:
         raise FamilyNotExpansive(f"{family!r} is not expansive")
     if family.kind in ("Ep", "Fpn"):
-        sample = _scan_members(family, max_rank)
+        tower = tower_for_family(family)
+        sample = [tower.group(r) for r in range(max_rank + 1)]
+    elif family.n is None:
+        raise FamilyUnsupported(
+            f"{family!r} has unbounded exponents: its members of rank <= "
+            f"{max_rank} are infinitely many")
     else:
         sample = [g for g in family.members(family.p ** (family.n
                                                          * max_rank))
@@ -470,84 +453,64 @@ def trans_bij_check(family, bound, limit=None):
 
     Requires the bounded poset of members to be a chain (one isomorphism
     class per comparability level).  For cyclic families the two-point
-    quotient is matched against the automorphisms of the target.
+    quotient is matched against the automorphisms of the target.  `limit`
+    bounds the number of surjection pairs indexed, sum |Epi(g, h)|^2.
     """
+    from . import config
     members = family.members(max_order=bound)
-    members.sort(key=lambda g: g.sort_key())
     for i, a in enumerate(members):
         for b in members[i + 1:]:
-            if a.order == b.order and a != b:
+            if a.order == b.order:
                 raise NotAInfinity(
                     f"{family!r} has incomparable members at order {a.order}")
-            lo, hi = (a, b) if a.order <= b.order else (b, a)
-            if not quotient_exists(hi, lo):
+            if not quotient_exists(b, a):
                 raise NotAInfinity(
-                    f"no surjections {hi!r} -> {lo!r}: not a chain")
-    results = {}
-    ok_all = True
-    for h in members:
-        for g in members:
-            if g.order <= h.order or not quotient_exists(g, h):
-                continue
-            transitive = len(_orbit_structure(g, h)[0]) <= 1
-            u2 = _two_point_orbits(g, h)
-            row = {"transitive": transitive, "u2": len(u2)}
+                    f"no surjections {b!r} -> {a!r}: not a chain")
+    # a chain: every later member surjects onto every earlier one
+    config.check_candidates(
+        sum(count_epis(g, h) ** 2 for i, h in enumerate(members)
+            for g in members[i + 1:]), limit, what="two-point orbit scan")
+    pairs = {}
+    ok = lam_ok = True
+    for i, h in enumerate(members):
+        lo = None
+        for g in members[i + 1:]:
+            index = _two_point_orbit_index(g, h)
+            row = {"transitive": len(_orbit_structure(g, h)[0]) <= 1,
+                   "u2": len(set(index.values()))}
+            ok = ok and row["transitive"]
             if family.kind in ("Cpinf", "Cpn"):
-                aut_h = count_epis(h, h)
-                row["aut_target"] = aut_h
-                row["u2_matches_aut"] = (len(u2) == aut_h)
-                ok_all = ok_all and row["u2_matches_aut"]
-            ok_all = ok_all and transitive
-            results[(g.key(), h.key())] = row
-    # lambda stabilization along consecutive chain steps
-    lam_ok = True
-    for h in members:
-        chain = [g for g in members
-                 if g.order > h.order and quotient_exists(g, h)]
-        chain.sort(key=lambda g: g.order)
-        for lo, hi in zip(chain, chain[1:]):
-            if not quotient_exists(hi, lo):
-                continue
-            if not _lambda_bijective(lo, hi, h):
-                lam_ok = False
-                results[(hi.key(), h.key())]["lambda_bij"] = False
-    return {"ok": ok_all and lam_ok, "bound": bound,
-            "pairs": {f"{k[0]}|{k[1]}": v for k, v in results.items()},
+                row["aut_target"] = count_epis(h, h)
+                row["u2_matches_aut"] = row["u2"] == row["aut_target"]
+                ok = ok and row["u2_matches_aut"]
+            # lambda stabilization along the consecutive chain step lo -> g
+            if lo is not None and not _lambda_bijective(
+                    first_epi(g, lo[0]), h, lo[1], index):
+                lam_ok = row["lambda_bij"] = False
+            pairs[f"{g.key()}|{h.key()}"] = row
+            lo = (g, index)
+    return {"ok": ok and lam_ok, "bound": bound, "pairs": pairs,
             "lambda_stable": lam_ok}
 
 
-def _two_point_orbits(g, h):
-    """Orbits of the diagonal automorphism action on pairs of
-    surjections g -> h."""
-    return set(_two_point_orbit_index(g, h).values())
+def _lambda_bijective(phi, h, down, up):
+    """Whether precomposing with phi: hi -> lo maps the two-point orbits at
+    lo bijectively onto those at hi.
 
-
-def _lambda_bijective(lo, hi, h):
-    """Whether composing with one fixed surjection hi -> lo embeds the
-    two-point orbits bijectively."""
-    phi = first_epi(hi, lo)
-    epis_lo = enumerate_epis(lo, h)
-    down = _two_point_orbit_reps(lo, h)
-    up_index = _two_point_orbit_index(hi, h)
-    images = set()
-    for (fa, fb) in down:
-        images.add(up_index[((fa @ phi).matrix, (fb @ phi).matrix)])
-    return len(images) == len(down) and len(images) == \
-        len(set(up_index.values()))
-
-
-def _two_point_orbit_reps(g, h):
-    epis = enumerate_epis(g, h)
-    idx = _two_point_orbit_index(g, h)
+    `down` and `up` are the `_two_point_orbit_index` of lo and hi over h;
+    each orbit at lo is represented by its first pair in `down`.
+    """
     reps = {}
-    for fa in epis:
-        for fb in epis:
-            o = idx[(fa.matrix, fb.matrix)]
-            reps.setdefault(o, (fa, fb))
-    return list(reps.values())
+    for pair, root in down.items():
+        reps.setdefault(root, pair)
+    images = {up[tuple((Morphism(phi.target, h, f) @ phi).matrix
+                       for f in pair)] for pair in reps.values()}
+    return len(images) == len(reps) == len(set(up.values()))
 
 
 def _two_point_orbit_index(g, h):
+    """Orbit root of every pair of surjections g -> h under the diagonal
+    Aut(g) action, keyed by the two matrices in enumeration order."""
     epis = enumerate_epis(g, h)
     index = {f.matrix: i for i, f in enumerate(epis)}
     n = len(epis)

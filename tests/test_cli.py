@@ -438,6 +438,21 @@ def test_large_primes_answer_promptly(argv, error, tmp_path, subprocess_env):
         assert json.loads(run.stderr)["error"] == error
 
 
+@pytest.mark.parametrize("family", ["Z2inf", "Zpinf:2"])
+def test_omega_on_unbounded_exponents_is_refused(family, tmp_path,
+                                                subprocess_env):
+    # the members of rank <= 2 of an unbounded-exponent family are
+    # infinitely many, so no finite sample exists
+    run = subprocess.run([sys.executable, "-m", "repstab.cli", "omega",
+                          "--object", "e(C2)", "--n", "2", "--family",
+                          family, "--max-rank", "2", "--cache",
+                          str(tmp_path)], env=subprocess_env,
+                         capture_output=True, text=True, timeout=20)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 1 and run.stdout == ""
+    assert json.loads(run.stderr)["error"] == "family-unsupported"
+
+
 def _readme_commands():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     return [shlex.split(line)[1:] for line in readme.read_text().splitlines()

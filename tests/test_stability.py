@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from repstab.stability import (truncate_tau, central_stability_degree,
 from repstab.towers import tower_for_family
 from repstab.monoidal import tensor_with_generator
 from repstab.errors import NotAInfinity, FamilyNotExpansive, \
-    FamilyUnsupported, ShapeMismatch
+    FamilyUnsupported, ShapeMismatch, ScaleExceeded
 from repstab import stability
 
 from oracles import (dense_columns, dense_rank,
@@ -248,6 +250,9 @@ def test_omega_unit_and_sum():
     assert tail[6] <= 2 and tail[6] > Fraction(3, 2)
     with pytest.raises(FamilyNotExpansive):
         omega_order(unit_object(Z2), 2, cyclic_family(2), 3)
+    # Z2inf has infinitely many members of rank <= 1
+    with pytest.raises(FamilyUnsupported):
+        omega_order(unit_object(Z2), 1, Z2, 1)
 
 
 def test_omega_subadditivity_on_sums():
@@ -283,16 +288,55 @@ def test_trans_bij_families():
     assert trans_bij_check(cyclic_family(2), 1)["ok"]
 
 
+def test_trans_bij_check_honours_limit():
+    # sum |Epi(g, h)|^2 over the chain pairs: C64 -> C32 alone gives 32^2
+    with pytest.raises(ScaleExceeded, match="two-point orbit scan"):
+        trans_bij_check(cyclic_family(2), 64, limit=10)
+    assert trans_bij_check(cyclic_family(2), 64)["ok"]
+
+
+_LIMITED_TRANS_BIJ = """
+import resource
+cap = 1536 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from repstab.errors import ScaleExceeded
+from repstab.families import elementary
+from repstab.stability import trans_bij_check
+try:
+    trans_bij_check(elementary(2), 32)
+except ScaleExceeded as exc:
+    print(exc)
+"""
+
+
+def test_trans_bij_check_refuses_large_elementary_chain(subprocess_env):
+    # Epi(C2^5, C2^4) alone has 624960 members, so 3.9e11 pairs: refused
+    # before any surjection is listed, instead of running until memory
+    # runs out
+    run = subprocess.run([sys.executable, "-c", _LIMITED_TRANS_BIJ],
+                         env=subprocess_env, capture_output=True, text=True,
+                         timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert "two-point orbit scan refused" in run.stdout
+
+
 def test_kernel_same_along_all_tower_epis():
-    fam = exponent_bounded(3, 1)
-    x = restrict_presentation(torsion_example_a(3), fam)
-    tw = tower_for_family(fam)
+    # torsion pulls back along the first surjection from each stage; every
+    # surjection has the same kernel, hence the same RREF kernel basis
     from repstab.presentations import structure_map
-    g = C3
-    stage = tw.group(2)
-    kernels = []
-    for alpha in enumerate_epis(stage, g):
-        mat = structure_map(x, alpha)
-        rows = list(zip(*dense_columns(mat)))
-        kernels.append(sorted(rref_kernel_fraction(rows, mat.cols)[0]))
-    assert all(k == kernels[0] for k in kernels)
+    cases = [(torsion_example_a(3), exponent_bounded(3, 1), C3, (2,)),
+             (torsion_example_b(), elementary(2), C2, (2, 3)),
+             (torsion_example_b(), elementary(2), group(2, [1, 1]), (2, 3)),
+             (torsion_example_a(3), free_modules(3, 2), C9, (2,))]
+    for x, fam, g, stages in cases:
+        if fam.downward_closed:
+            x = restrict_presentation(x, fam)
+        tw = tower_for_family(fam)
+        for stage in stages:
+            kernels = []
+            for alpha in enumerate_epis(tw.group(stage), g):
+                mat = structure_map(x, alpha)
+                rows = list(zip(*dense_columns(mat)))
+                kernels.append(
+                    sorted(rref_kernel_fraction(rows, mat.cols)[0]))
+            assert all(k == kernels[0] for k in kernels), (fam, g, stage)

@@ -5,6 +5,7 @@ library raises typed errors instead.  Every import must be used; the
 package `__init__` is exempt, since its lazy namespace re-exports names.
 Every top-level definition must be reachable from the namespace or from
 another part of the library.  Only `Product` reads product coordinates.
+Every scale guard parameter named `limit` is read by its function.
 """
 
 import ast
@@ -81,3 +82,21 @@ def test_product_coordinates_stay_behind_product():
                   if isinstance(node, ast.Attribute)
                   and node.attr == "positions" and id(node) not in inside]
     assert reads == [], f"reads of .positions outside Product: {reads}"
+
+
+def test_every_limit_parameter_is_read():
+    # a guard a function accepts and never reads bounds nothing: the call
+    # runs unbounded while the caller believes it is guarded
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            if "limit" not in {a.arg for a in args.posonlyargs + args.args
+                               + args.kwonlyargs}:
+                continue
+            if not any(isinstance(n, ast.Name) and n.id == "limit"
+                       for stmt in node.body for n in ast.walk(stmt)):
+                unread.append((path.name, node.name))
+    assert unread == [], f"limit parameters never read: {unread}"
