@@ -473,7 +473,7 @@ def trans_bij_check(family, bound, limit=None):
     pairs = {}
     ok = lam_ok = True
     for i, h in enumerate(members):
-        lo = None
+        prev = prev_index = None
         for g in members[i + 1:]:
             index = _two_point_orbit_index(g, h)
             row = {"transitive": len(_orbit_structure(g, h)[0]) <= 1,
@@ -483,12 +483,12 @@ def trans_bij_check(family, bound, limit=None):
                 row["aut_target"] = count_epis(h, h)
                 row["u2_matches_aut"] = row["u2"] == row["aut_target"]
                 ok = ok and row["u2_matches_aut"]
-            # lambda stabilization along the consecutive chain step lo -> g
-            if lo is not None and not _lambda_bijective(
-                    first_epi(g, lo[0]), h, lo[1], index):
+            # lambda stabilization along the chain step g -> prev
+            if prev is not None and not _lambda_bijective(
+                    first_epi(g, prev), h, prev_index, index):
                 lam_ok = row["lambda_bij"] = False
             pairs[f"{g.key()}|{h.key()}"] = row
-            lo = (g, index)
+            prev, prev_index = g, index
     return {"ok": ok and lam_ok, "bound": bound, "pairs": pairs,
             "lambda_stable": lam_ok}
 
