@@ -17,9 +17,10 @@ from functools import lru_cache
 
 from . import config
 from .errors import FamilyNotGlobalMultiplicative, NotSurjective, \
-    ShapeMismatch, InvariantViolation
+    ShapeMismatch, InvariantViolation, NotInFamily
 from .groups import (GroupType, Morphism, make_morphism, enumerate_epis,
-                     count_epis, automorphisms, quotient_exists, section)
+                     count_epis, automorphisms, quotient_exists, section,
+                     _rank_mod_p)
 from .subgroups import (Subgroup, subgroup_from_lattice_rows,
                         subgroup_from_generators, enumerate_subgroups,
                         kernel, quotient, full_subgroup)
@@ -197,18 +198,33 @@ class VirtualHom:
 
 @lru_cache(maxsize=None)
 def _vhom_list(g, h, family):
+    """Virtual homs found in the coordinates of each wide A.
+
+    Each subgroup T of A's type is a candidate A'.  A' meets 1 x h
+    trivially exactly when its projection to g is injective, and a map of
+    finite p-groups is injective exactly when it is on the socle, since a
+    nonzero kernel has an element of order p.  The socle of T has the
+    F_p-basis p^(e-1) gen over its generators gen of order p^e, whose g
+    parts are multiples of m/p in each Z/m: one rank mod p of the
+    quotients decides.  Only an accepted T is embedded.
+    """
     prod = Product.of(g, h)
-    right = prod.factor_subgroup(1)
+    n, p = prod.group.rank, prod.group.p
+    gmods = g.moduli()
     out = []
     for w in _wide_list(g, h):
         a = w.embedded
-        for aprime in _subgroups_of(a):
-            if aprime.intersection_order(right) != 1:
-                continue
-            spread = _quotient_type_within(a, aprime)
+        for t in enumerate_subgroups(a.isomorphism_type):
+            spread = _quotient_type_cached(t.ambient, t.basis)
             if not family.contains(spread):
                 continue
-            out.append(VirtualHom(g, h, w, aprime, spread))
+            socle = [prod.split(_combine(n, a.generators,
+                                         [v * p ** (e - 1) for v in gen]))[0]
+                     for gen, e in zip(t.generators,
+                                       t.isomorphism_type.exponents)]
+            if _rank_mod_p([[x // (m // p) for x, m in zip(y, gmods)]
+                            for y in socle], p) == len(socle):
+                out.append(VirtualHom(g, h, w, _embed(a, t), spread))
     out.sort(key=lambda v: v.sort_key())
     return tuple(out)
 
@@ -230,16 +246,11 @@ def _combine(n, gens, coeffs):
                  for i in range(n))
 
 
-def _subgroups_of(s):
-    """Subgroups of a subgroup s <= ambient, embedded in the ambient.
-
-    Enumerates the lattice of the abstract type once per type and maps its
-    lattice rows in through the generators of s.
-    """
-    ambient, gens = s.ambient, s.generators
-    return [subgroup_from_lattice_rows(
-                ambient, [_combine(ambient.rank, gens, row) for row in t.basis])
-            for t in enumerate_subgroups(s.isomorphism_type)]
+def _embed(s, t):
+    """t <= the abstract type of s, mapped into the ambient of s through
+    the generators of s: the inverse of `_inner`."""
+    return subgroup_from_lattice_rows(s.ambient, [
+        _combine(s.ambient.rank, s.generators, row) for row in t.basis])
 
 
 def _inner(a, aprime):
@@ -247,12 +258,6 @@ def _inner(a, aprime):
     return subgroup_from_generators(
         a.isomorphism_type,
         [a.abstract_coordinates(gen) for gen in aprime.generators])
-
-
-def _quotient_type_within(a, aprime):
-    """Type of a/aprime for nested subgroups of a common ambient group."""
-    inner = _inner(a, aprime)
-    return _quotient_type_cached(inner.ambient, inner.basis)
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +406,7 @@ def _sigma_level_counts_m(t, g, h, family):
     return levels
 
 
-def _sigma_level_counts_n(t, g, h, family):
+def _sigma_level_counts_n(t, g, h):
     """sigma census of pairs (W, lam) without enumerating the lam's.
 
     For fixed wide W <= t x g, sigma(W, lam) = |t| / |K| where K is the
@@ -416,10 +421,12 @@ def _sigma_level_counts_n(t, g, h, family):
         a = w.embedded
         kw = a.intersect(tfac)
         # containment-closed Moebius over the little lattice
-        emb_list = _subgroups_of(kw)
+        emb_list = [_embed(kw, k)
+                    for k in enumerate_subgroups(kw.isomorphism_type)]
         kill_counts = []
         for s_emb in emb_list:
-            qt = _quotient_type_within(a, s_emb)
+            inner = _inner(a, s_emb)
+            qt = _quotient_type_cached(inner.ambient, inner.basis)
             kill_counts.append(count_epis(qt, h))
         exact = _moebius_exact(emb_list, kill_counts)
         for s_emb, cnt in zip(emb_list, exact):
@@ -463,7 +470,7 @@ def _enumerate_n_explicit(t, g, h):
     return out
 
 
-def lmn_theta(t, g, h, item):
+def lmn_theta(g, h, item):
     """The composite bijection N(T) -> M(T): (W, lam) -> (A, A', theta),
     with theta tabulated on the elements of t."""
     w, lam, _sigma = item
@@ -508,7 +515,7 @@ def lmn_bijections_check(t, g, h, family, explicit_limit=20000, limit=None):
         if sigma > gh:
             failures.append(f"sigma {sigma} exceeds |g||h| = {gh}")
     if size > explicit_limit:
-        n_levels = _sigma_level_counts_n(t, g, h, family)
+        n_levels = _sigma_level_counts_n(t, g, h)
         if n_levels != m_levels:
             failures.append(f"sigma census differs: N={n_levels} M={m_levels}")
         return LMNReport(t, g, h, "counts", size,
@@ -537,7 +544,7 @@ def lmn_bijections_check(t, g, h, family, explicit_limit=20000, limit=None):
             m_keys[key] = v.spread.order
     mapped = {}
     for item in n_items:
-        a_img, ap, theta_tab = lmn_theta(t, g, h, item)
+        a_img, ap, theta_tab = lmn_theta(g, h, item)
         key = (a_img.basis, ap.basis, theta_tab)
         if key in mapped:
             failures.append("mu o nu^{-1} not injective")
@@ -585,22 +592,28 @@ def sigma_pullback_check(phi, g, h, family, limit=None):
     For each (W, lam) over the target of phi and each compatible
     (W', lam') upstairs, sigma(W', lam') >= sigma(W, lam) with equality
     exactly for the pullback (phi x 1)^{-1}(W) with the composed map.
+    NotInFamily if phi's source or target, g or h is not a member.
     """
     if not quotient_exists(phi.source, phi.target):
         raise NotSurjective("phi must be a surjection")
+    if not all(map(family.contains, (phi.source, phi.target, g, h))):
+        raise NotInFamily(f"phi's groups, g and h must be in {family!r}")
     t, tp = phi.target, phi.source
     config.check_order(tp.order * g.order * h.order, limit,
                        what="sigma pullback check")
     down = _enumerate_n_explicit(t, g, h)
-    up = _enumerate_n_explicit(tp, g, h)
+    # each W' is pushed to (phi x 1)(W') once, not once per (W, lam)
+    prod = Product.of(t, g)
+    up = [(wp, lamp, sigmap, _push_image(phi, wp, prod))
+          for wp, lamp, sigmap in _enumerate_n_explicit(tp, g, h)]
     # (phi x 1)(W') = W puts W' inside (phi x 1)^{-1}(W), which has order
     # |W| |ker phi|: W' is that pullback exactly when the orders agree
     kernel_order = tp.order // t.order
     failures = []
     checked = 0
     for w, lam, sigma in down:
-        for wp, lamp, sigmap in up:
-            if not _is_pushforward(phi, wp, w, lamp, lam):
+        for wp, lamp, sigmap, image in up:
+            if not _is_pushforward(phi, wp, w, lamp, lam, image):
                 continue
             checked += 1
             is_pullback = wp.embedded.order == w.embedded.order * kernel_order
@@ -612,19 +625,23 @@ def sigma_pullback_check(phi, g, h, family, limit=None):
             "failures": failures}
 
 
-def _is_pushforward(phi, wp, w, lamp, lam):
+def _push_image(phi, wp, prod):
+    """(phi x 1) on the generators of W', and (phi x 1)(W') <= prod."""
+    pushed = [prod.embed(phi(s), x)
+              for s, x in map(wp.product.split, wp.embedded.generators)]
+    return pushed, subgroup_from_generators(prod.group, pushed)
+
+
+def _is_pushforward(phi, wp, w, lamp, lam, image=None):
     """(phi x 1)(W') == W and lam' == lam o (phi x 1) on W'.
 
+    `image` is `_push_image(phi, wp, w.product)` when the caller has it.
     Both sides of the second equation are homomorphisms on W', so they
     agree once they agree on its generators.
     """
+    pushed, img = image or _push_image(phi, wp, w.product)
     a_up, a_dn = wp.embedded, w.embedded
-    pushed = []
-    for vec in a_up.generators:
-        s, x = wp.product.split(vec)
-        pushed.append(w.product.embed(phi(s), x))
-    if subgroup_from_generators(w.product.group, pushed) != a_dn:
-        return False
-    return all(lamp(a_up.abstract_coordinates(vec))
-               == lam(a_dn.abstract_coordinates(img))
-               for vec, img in zip(a_up.generators, pushed))
+    return img == a_dn and all(
+        lamp(a_up.abstract_coordinates(vec))
+        == lam(a_dn.abstract_coordinates(v))
+        for vec, v in zip(a_up.generators, pushed))

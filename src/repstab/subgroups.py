@@ -12,7 +12,8 @@ back-substitution, `_hermite_reduce`, writes any x as a B + rem with
 Theory, 2.4).  It answers three questions: x lies in S when rem is zero,
 a are its coordinates on the basis, and rem is the unique representative
 of the coset x + S in the box [0, B_ii).  Everything here stays in the
-integers.
+integers.  Lattices grow by index-p extensions S + <x>, one per coset
+representative x modulo S and one Hermite form each.
 """
 
 from dataclasses import dataclass
@@ -73,18 +74,6 @@ class Subgroup:
             gens.append([sum(coeffs[k] * b1[k][i] for k in range(r))
                          for i in range(r)])
         return subgroup_from_lattice_rows(self.ambient, gens)
-
-    def sum_with(self, other):
-        """The subgroup generated by self and other."""
-        if other.ambient != self.ambient:
-            raise NotASubgroup("ambient groups differ")
-        return subgroup_from_lattice_rows(
-            self.ambient, [list(r) for r in self.basis]
-            + [list(r) for r in other.basis])
-
-    def intersection_order(self, other):
-        """|self meet other| via |A||B| / |A+B| (cheaper than the meet)."""
-        return self.order * other.order // self.sum_with(other).order
 
     def elements(self):
         """All elements (tuples mod the ambient moduli), sorted."""
@@ -230,8 +219,9 @@ def enumerate_subgroups(g, order_filter=None, limit=None):
     """Every subgroup exactly once, in canonical order.
 
     Elementary ambient groups go through echelon-form subspace enumeration;
-    the general case extends each known subgroup by elements x with
-    p*x already inside (index-p extensions reach everything).
+    the general case extends each known subgroup S by one coset
+    representative x of each cyclic extension with p*x in S (index-p
+    extensions reach everything), one Hermite form per extension.
     """
     config.check_order(g.order, limit, what="subgroup enumeration")
     got = _LATTICE_CACHE.get(g)
@@ -295,19 +285,24 @@ def _elementary_subgroups(g):
 def _generic_subgroups(g):
     p = g.p
     elements = g.elements()
-    mods = g.moduli()
     bottom = trivial_subgroup(g)
     seen = {bottom.basis: bottom}
     frontier = [bottom]
     while frontier:
         new = []
         for s in frontier:
+            done = set()
             for x in elements:
-                px = tuple((p * v) % m for v, m in zip(x, mods))
-                if not s.contains_element(px) or s.contains_element(x):
+                rep = s.coset_rep(x)
+                if rep in done or not any(rep):
+                    continue
+                # S + <x> = S + <k x> for k prime to p
+                done.update(s.coset_rep([k * v for v in rep])
+                            for k in range(1, p))
+                if not s.contains_element([p * v for v in rep]):
                     continue
                 t = subgroup_from_lattice_rows(
-                    g, [list(row) for row in s.basis] + [list(x)])
+                    g, [list(row) for row in s.basis] + [list(rep)])
                 if t.basis not in seen:
                     seen[t.basis] = t
                     new.append(t)

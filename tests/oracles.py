@@ -459,6 +459,72 @@ def preimage(f, s):
     return subgroup_from_lattice_rows(f.source, rows)
 
 
+def sum_with(s, other):
+    """The subgroup generated by two subgroups of one ambient group."""
+    from repstab.errors import NotASubgroup
+    from repstab.subgroups import subgroup_from_lattice_rows
+    if other.ambient != s.ambient:
+        raise NotASubgroup("ambient groups differ")
+    return subgroup_from_lattice_rows(
+        s.ambient, [list(r) for r in s.basis] + [list(r) for r in other.basis])
+
+
+def intersection_order(s, other):
+    """|s meet other| via |s||other| / |s + other|."""
+    return s.order * other.order // sum_with(s, other).order
+
+
+def generic_subgroups_bruteforce(g):
+    """Every subgroup of g, unsorted: each known subgroup S is extended by
+    every element x with p x in S and x not in S, one Hermite form per
+    element."""
+    from repstab.subgroups import (subgroup_from_lattice_rows,
+                                   trivial_subgroup)
+    p = g.p
+    mods = g.moduli()
+    bottom = trivial_subgroup(g)
+    seen = {bottom.basis: bottom}
+    frontier = [bottom]
+    while frontier:
+        new = []
+        for s in frontier:
+            for x in g.elements():
+                px = tuple((p * v) % m for v, m in zip(x, mods))
+                if not s.contains_element(px) or s.contains_element(x):
+                    continue
+                t = subgroup_from_lattice_rows(
+                    g, [list(row) for row in s.basis] + [list(x)])
+                if t.basis not in seen:
+                    seen[t.basis] = t
+                    new.append(t)
+        frontier = new
+    return list(seen.values())
+
+
+def vhom_list_bruteforce(g, h, family):
+    """Virtual homs (A, A') from g to h, sorted: every A' <= A embedded in
+    g x h, kept when its meet with 1 x h is trivial and A/A' is in the
+    family."""
+    from repstab import monoidal
+    from repstab.subgroups import enumerate_subgroups, quotient
+    prod = monoidal.Product.of(g, h)
+    right = prod.factor_subgroup(1)
+    out = []
+    for w in monoidal._wide_list(g, h):
+        a = w.embedded
+        for t in enumerate_subgroups(a.isomorphism_type):
+            aprime = monoidal._embed(a, t)
+            if intersection_order(aprime, right) != 1:
+                continue
+            spread = quotient(a.isomorphism_type,
+                              monoidal._inner(a, aprime))[0]
+            if not family.contains(spread):
+                continue
+            out.append(monoidal.VirtualHom(g, h, w, aprime, spread))
+    out.sort(key=lambda v: v.sort_key())
+    return out
+
+
 def times_identity(phi, g):
     """(phi x 1): T' x g -> T x g as a morphism, column by column from the
     images of the unit vectors."""

@@ -3,19 +3,20 @@ import pytest
 from repstab.groups import (group, cyclic, trivial_group, make_morphism,
                             identity_morphism, count_epis)
 from repstab.subgroups import enumerate_subgroups, quotient
-from repstab.families import all_abelian, cyclic_family
+from repstab.families import all_abelian, cyclic_family, \
+    parse_family_spec
 from repstab.monoidal import (enumerate_wide, count_wide, tensor_decompose,
                               enumerate_vhom, hom_decompose, hom_dimension,
                               hom_eval_oracle, tensor_presentation,
                               tensor_with_generator, lmn_bijections_check,
                               sigma_pullback_check, Product)
 from repstab.presentations import evaluate_dim, torsion_example_a
-from repstab.errors import FamilyNotGlobalMultiplicative
+from repstab.errors import FamilyNotGlobalMultiplicative, NotInFamily
 
-from repstab import monoidal
+from repstab import monoidal, subgroups
 
 from oracles import (image_subgroup, preimage, times_identity,
-                     is_pushforward_bruteforce)
+                     is_pushforward_bruteforce, vhom_list_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -145,6 +146,48 @@ def test_tensor_presentation_free():
         assert evaluate_dim(tp, t) == count_epis(t, C2) ** 2
 
 
+def _vhom_grid():
+    """(g, h, family): 2-group pairs with |g||h| <= 16 over three
+    families, and 3-group pairs with |g||h| <= 27."""
+    for spec in ("Z2inf", "E2", "Cpinf:2"):
+        fam = parse_family_spec(spec)
+        for g in Z2.members(16):
+            for h in Z2.members(16 // g.order):
+                yield g, h, fam
+    z3 = all_abelian(3)
+    for g in z3.members(27):
+        for h in z3.members(27 // g.order):
+            yield g, h, z3
+
+
+def test_vhom_list_matches_bruteforce(monkeypatch):
+    # virtual homs found by one rank mod p per candidate A' agree field by
+    # field, in order, with the embedded intersection test; only an
+    # accepted A' costs a Hermite form
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(1)
+        return hermite(rows, ncols)
+
+    hermite = subgroups.hermite_row_form
+    cases = vhoms = 0
+    for g, h, fam in _vhom_grid():
+        want = vhom_list_bruteforce(g, h, fam)
+        monkeypatch.setattr(subgroups, "hermite_row_form", counted)
+        calls.clear()
+        ours = monoidal._vhom_list.__wrapped__(g, h, fam)
+        monkeypatch.setattr(subgroups, "hermite_row_form", hermite)
+        assert len(calls) == len(ours)
+        assert [(v.wide.embedded.basis, v.sub.basis, v.spread, v.sub.order)
+                for v in ours] == [
+            (v.wide.embedded.basis, v.sub.basis, v.spread, v.sub.order)
+            for v in want], (g, h, fam)
+        cases += 1
+        vhoms += len(ours)
+    assert (cases, vhoms) == (132, 1840)
+
+
 def test_lmn_small_examples():
     rep = lmn_bijections_check(C2, C2, C2, Z2)
     assert rep.ok and rep.mode == "explicit" and rep.size == 4
@@ -181,6 +224,12 @@ def test_sigma_pullback_examples():
     assert out2["ok"]
     out3 = sigma_pullback_check(identity_morphism(C2), C2, C2, Z2)
     assert out3["ok"]
+    # the family is read: every group involved must be a member
+    with pytest.raises(NotInFamily):
+        sigma_pullback_check(make_morphism(C22, C2, [[1, 0]]), C2, C2,
+                             C2INF)
+    with pytest.raises(NotInFamily):
+        sigma_pullback_check(phi, C2, C22, C2INF)
 
 
 def test_product_coordinates():

@@ -5,7 +5,8 @@ library raises typed errors instead.  Every import must be used; the
 package `__init__` is exempt, since its lazy namespace re-exports names.
 Every top-level definition must be reachable from the namespace or from
 another part of the library.  Only `Product` reads product coordinates.
-Every scale guard parameter named `limit` is read by its function.
+Every parameter is read by its function, bar `self`, `cls` and
+`_`-prefixed ones.
 """
 
 import ast
@@ -84,19 +85,24 @@ def test_product_coordinates_stay_behind_product():
     assert reads == [], f"reads of .positions outside Product: {reads}"
 
 
-def test_every_limit_parameter_is_read():
-    # a guard a function accepts and never reads bounds nothing: the call
-    # runs unbounded while the caller believes it is guarded
+def test_every_parameter_is_read():
+    # a parameter a function accepts and never reads is silently ignored:
+    # a guard bounds nothing, a family filters nothing.  Names starting
+    # with `_` mark a parameter that is unused on purpose.
     unread = []
     for path in SOURCES:
         for node in ast.walk(_tree(path)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
                 continue
             args = node.args
-            if "limit" not in {a.arg for a in args.posonlyargs + args.args
-                               + args.kwonlyargs}:
-                continue
-            if not any(isinstance(n, ast.Name) and n.id == "limit"
-                       for stmt in node.body for n in ast.walk(stmt)):
-                unread.append((path.name, node.name))
-    assert unread == [], f"limit parameters never read: {unread}"
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unread += [(path.name, getattr(node, "name", "lambda"), name)
+                       for name in params
+                       if name not in read | {"self", "cls"}
+                       and not name.startswith("_")]
+    assert unread == [], f"parameters never read: {unread}"

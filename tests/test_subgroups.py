@@ -10,8 +10,11 @@ from repstab.families import all_abelian, cyclic_family
 from repstab.errors import NotASubgroup, FamilyNotSubmultiplicative, \
     ScaleExceeded
 
+from repstab import subgroups
+
 from oracles import (coordinates_bruteforce, coset_min_bruteforce,
-                     subgroups_bruteforce, preimage)
+                     subgroups_bruteforce, preimage, sum_with,
+                     intersection_order, generic_subgroups_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -34,6 +37,35 @@ def test_subgroup_counts_examples():
 def test_lattice_matches_bruteforce(g):
     ours = {frozenset(s.elements()) for s in enumerate_subgroups(g)}
     assert ours == subgroups_bruteforce(g)
+
+
+def test_generic_lattice_matches_elementwise_extension(monkeypatch):
+    # coset-representative extension finds the same lattice as extending
+    # by every element, on every non-elementary group of order <= 64, 81
+    # and 125, with one Hermite form per index-p extension S < T: T has
+    # (p^rank(T) - 1)/(p - 1) maximal subgroups, plus one for the bottom
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(1)
+        return hermite(rows, ncols)
+
+    hermite = subgroups.hermite_row_form
+    monkeypatch.setattr(subgroups, "hermite_row_form", counted)
+    groups = [g for p, bound in ((2, 64), (3, 81), (5, 125))
+              for g in all_abelian(p).members(bound)
+              if any(e > 1 for e in g.exponents)]
+    assert len(groups) == 33
+    for g in groups:
+        calls.clear()
+        lattice = subgroups._generic_subgroups(g)
+        hermite_forms = len(calls)
+        covers = sum((g.p ** s.isomorphism_type.rank - 1) // (g.p - 1)
+                     for s in lattice)
+        assert hermite_forms == 1 + covers, g
+        ours = sorted(s.sort_key() for s in lattice)
+        want = sorted(s.sort_key() for s in generic_subgroups_bruteforce(g))
+        assert ours == want, g
 
 
 def test_normal_form_unique_per_subgroup():
@@ -89,8 +121,8 @@ def test_intersection_and_sum():
     diag = subgroup_from_generators(C22, [(1, 1)])
     left = subgroup_from_generators(C22, [(1, 0)])
     assert diag.intersect(left).order == 1
-    assert diag.sum_with(left).order == 4
-    assert diag.intersection_order(left) == 1
+    assert sum_with(diag, left).order == 4
+    assert intersection_order(diag, left) == 1
 
 
 def test_normal_quotient_poset_examples():
