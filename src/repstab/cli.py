@@ -189,8 +189,13 @@ def cmd_omega(args):
 
 
 def cmd_wqo_check(args):
-    from .wqo import dagger, compose_check, _surjections
+    from . import config
+    from .wqo import dagger, compose_check, _surjections, _law_check_count
     size = args.size
+    # the sweeps below walk this many candidates (the composition sweep
+    # stops at size 4 and costs a constant)
+    config.check_candidates(
+        _law_check_count(size, config.MAX_EPI_CANDIDATES), what="wqo-check")
     failures = []
     checked = 0
 

@@ -3,10 +3,15 @@ and the inverse modulo an integer.
 
 Everything here works on small dense matrices given as lists of row lists.
 Sizes stay in the single digits to low tens, so the classical cubic
-algorithms with exact big integers are entirely adequate.  `inverse_mod`
-is the group layer's one matrix inverse.  It works in Z/m, so a
-unimodular transform needs no Fractions: its inverse modulo a multiple
-of every modulus it is read under gives the same results.
+algorithms with exact big integers are entirely adequate.  The Hermite
+form is the group layer's canonical form of a subgroup: it is taken of
+span(rows) + diag(p^l_1, ..., p^l_r) Z^r with the relation rows implicit,
+and it is computed modulo p^l_1 with p-power pivots (Domich, Kannan and
+Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 2.4.8), so no entry outgrows p^l_1.
+`inverse_mod` is the group layer's one matrix inverse.  It works in Z/m,
+so a unimodular transform needs no Fractions: its inverse modulo a
+multiple of every modulus it is read under gives the same results.
 """
 
 import math
@@ -18,72 +23,60 @@ def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _pivot(row):
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return len(row)
+def hermite_row_form(rows, moduli):
+    """Row Hermite form of span(rows) + diag(moduli) Z^r.
 
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def hermite_row_form(rows, ncols):
-    """Unique row-style Hermite form of the lattice spanned by `rows`.
-
-    Returns the nonzero rows in echelon order: pivots strictly move right,
-    pivot entries are positive, entries above a pivot are reduced into
-    [0, pivot).  Uniqueness makes this usable as a canonical form.
+    `moduli` are powers p^l_1 >= ... >= p^l_r of one prime, so L contains
+    D Z^r, D = p^l_1, and its form has row c with pivot p^v on the
+    diagonal and entries above a pivot in [0, pivot); uniqueness makes it
+    a canonical form.  The relation rows p^l_c e_c are never written out.
+    Before column c, the rows left hold L meet (0^c x Z^(r-c)) together
+    with the relations of columns c and up:
+    - entries of column j are read mod p^l_j, a relation;
+    - the pivot is a row of least p-valuation v, found as the least
+      gcd with D, or p^l_c e_c when every row is 0 there; times the
+      inverse mod D of its unit part it has entry p^v;
+    - the other rows are cleared by exact multiples of the pivot, and
+      (p^l_c / p^v) times the pivot, which is 0 in column c, is carried
+      down: with p^l_c e_c it spans the part of the pivot's line and the
+      relation that vanishes in column c.
     """
-    basis = []  # kept in echelon order with distinct pivots
-    for vec in rows:
-        vec = list(vec)
-        i = 0
-        while True:
-            p = _pivot(vec)
-            if p == ncols:
-                break
-            # locate basis row with this pivot, or the insertion point
-            while i < len(basis) and _pivot(basis[i]) < p:
-                i += 1
-            if i < len(basis) and _pivot(basis[i]) == p:
-                brow = basis[i]
-                if vec[p] % brow[p] == 0:
-                    q = vec[p] // brow[p]
-                    for j in range(p, ncols):
-                        vec[j] -= q * brow[j]
-                else:
-                    g, x, y = _xgcd(brow[p], vec[p])
-                    q1, q2 = brow[p] // g, vec[p] // g
-                    new = [x * brow[j] + y * vec[j] for j in range(ncols)]
-                    vec = [q1 * vec[j] - q2 * brow[j] for j in range(ncols)]
-                    basis[i] = new
-            else:
-                basis.insert(i, vec)
-                break
-        # inserted rows may break echelon order below the insertion point;
-        # the loop above always leaves pivots distinct, so just resort
-        basis.sort(key=_pivot)
-    # normalize signs and reduce entries above each pivot; within a row the
-    # reductions must run left to right so later pivot columns stay clean
-    for i, row in enumerate(basis):
-        p = _pivot(row)
-        if row[p] < 0:
-            basis[i] = [-v for v in row]
-    for k in range(len(basis)):
-        for i in range(k + 1, len(basis)):
-            p = _pivot(basis[i])
-            q = basis[k][p] // basis[i][p]
+    r = len(moduli)
+    d = moduli[0] if r else 1
+    work = [[v % m for v, m in zip(row, moduli)] for row in rows]
+    basis = []
+    for c, m in enumerate(moduli):
+        best, piv = m, None
+        for i, row in enumerate(work):
+            if row[c]:
+                g = math.gcd(row[c], d)
+                if g < best:
+                    best, piv = g, i
+        if piv is None:
+            basis.append([m if j == c else 0 for j in range(r)])
+            continue
+        prow = work.pop(piv)
+        u = pow(prow[c] // best, -1, d)
+        prow = [v * u % mj for v, mj in zip(prow, moduli)]
+        for i, row in enumerate(work):
+            q = row[c] // best
             if q:
-                for j in range(p, ncols):
-                    basis[k][j] -= q * basis[i][j]
-    return [list(r) for r in basis]
+                work[i] = [(a - q * b) % mj
+                           for a, b, mj in zip(row, prow, moduli)]
+        carry = [m // best * b % mj for b, mj in zip(prow, moduli)]
+        work = [row for row in work if any(row)]
+        if any(carry):
+            work.append(carry)
+        basis.append(prow)
+    # reduce the entries above each pivot, left to right within a row so
+    # that later pivot columns stay clean
+    for k in range(r):
+        row = basis[k]
+        for i in range(k + 1, r):
+            q = row[i] // basis[i][i]
+            if q:
+                row[i:] = [a - q * b for a, b in zip(row[i:], basis[i][i:])]
+    return basis
 
 
 def smith_normal_form(mat):

@@ -41,13 +41,12 @@ class Product:
 
     @classmethod
     def of(cls, *factors):
-        p = None
-        for f in factors:
-            if not f.is_trivial():
-                p = f.p
-                break
-        if p is None:
-            p = factors[0].p if factors else 2
+        """ShapeMismatch when two nontrivial factors have different
+        primes: their product is not a p-group."""
+        primes = {f.p for f in factors if not f.is_trivial()}
+        if len(primes) > 1:
+            raise ShapeMismatch(f"factors of mixed primes {sorted(primes)}")
+        p = primes.pop() if primes else (factors[0].p if factors else 2)
         exps = []
         for f in factors:
             exps.extend(f.exponents)
@@ -197,34 +196,44 @@ class VirtualHom:
 
 
 @lru_cache(maxsize=None)
-def _vhom_list(g, h, family):
-    """Virtual homs found in the coordinates of each wide A.
+def _vhom_census(g, h, family):
+    """(wide A, T, spread) for every virtual hom, found in the coordinates
+    of each wide A: T <= the abstract type of A is A' in A's coordinates.
 
     Each subgroup T of A's type is a candidate A'.  A' meets 1 x h
     trivially exactly when its projection to g is injective, and a map of
     finite p-groups is injective exactly when it is on the socle, since a
     nonzero kernel has an element of order p.  The socle of T has the
-    F_p-basis p^(e-1) gen over its generators gen of order p^e, whose g
-    parts are multiples of m/p in each Z/m: one rank mod p of the
-    quotients decides.  Only an accepted T is embedded.
+    F_p-basis (o/p) gen over its generators gen of order o, whose g
+    parts, combined from the g parts of A's generators, are multiples of
+    m/p in each Z/m: one rank mod p of the quotients decides.  Nothing is
+    embedded: the hom dimensions read only the spreads.
     """
     prod = Product.of(g, h)
-    n, p = prod.group.rank, prod.group.p
+    p = prod.group.p
     gmods = g.moduli()
     out = []
     for w in _wide_list(g, h):
         a = w.embedded
+        gparts = [prod.split(gen)[0] for gen in a.generators]
         for t in enumerate_subgroups(a.isomorphism_type):
             spread = _quotient_type_cached(t.ambient, t.basis)
             if not family.contains(spread):
                 continue
-            socle = [prod.split(_combine(n, a.generators,
-                                         [v * p ** (e - 1) for v in gen]))[0]
-                     for gen, e in zip(t.generators,
-                                       t.isomorphism_type.exponents)]
+            socle = [_combine(g.rank, gparts, [v * (o // p) for v in gen])
+                     for gen, o in zip(*t._generator_data())]
             if _rank_mod_p([[x // (m // p) for x, m in zip(y, gmods)]
                             for y in socle], p) == len(socle):
-                out.append(VirtualHom(g, h, w, _embed(a, t), spread))
+                out.append((w, t, spread))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _vhom_list(g, h, family):
+    """The virtual homs of the census, each A' embedded, in canonical
+    order."""
+    out = [VirtualHom(g, h, w, _embed(w.embedded, t), spread)
+           for w, t, spread in _vhom_census(g, h, family)]
     out.sort(key=lambda v: v.sort_key())
     return tuple(out)
 
@@ -277,8 +286,9 @@ def hom_decompose(g, h, family, limit=None):
 
 def hom_dimension(g, h, t, family, limit=None):
     """dim of the internal hom at t, summed over the spread summands."""
-    return sum(count_epis(t, v.spread)
-               for v in enumerate_vhom(g, h, family, limit))
+    config.check_order(g.order * h.order, limit, what="virtual hom enumeration")
+    return sum(count_epis(t, spread)
+               for _w, _t, spread in _vhom_census(g, h, family))
 
 
 def hom_eval_oracle(g, h, t, family, limit=None):
@@ -399,10 +409,10 @@ class LMNReport:
 
 def _sigma_level_counts_m(t, g, h, family):
     levels = {}
-    for v in _vhom_list(g, h, family):
-        n = count_epis(t, v.spread)
+    for _w, _t, spread in _vhom_census(g, h, family):
+        n = count_epis(t, spread)
         if n:
-            levels[v.spread.order] = levels.get(v.spread.order, 0) + n
+            levels[spread.order] = levels.get(spread.order, 0) + n
     return levels
 
 

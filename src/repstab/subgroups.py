@@ -4,7 +4,9 @@ A subgroup S of G = Z^r / diag(p^l1, ..., p^lr) is stored as the preimage
 lattice L with K <= L <= Z^r, where K is the relation lattice.  The row
 Hermite form B of L is the unique normal form: two subgroups are equal
 exactly when their forms agree, and quotients come out of the Smith form
-of the basis matrix.
+of the basis matrix.  `intmat.hermite_row_form` computes B modulo p^l1
+from the generator rows and the moduli alone: the relation rows of K
+are implicit, never built.
 
 B is upper triangular with positive pivots, so one integer
 back-substitution, `_hermite_reduce`, writes any x as a B + rem with
@@ -12,8 +14,9 @@ back-substitution, `_hermite_reduce`, writes any x as a B + rem with
 Theory, 2.4).  It answers three questions: x lies in S when rem is zero,
 a are its coordinates on the basis, and rem is the unique representative
 of the coset x + S in the box [0, B_ii).  Everything here stays in the
-integers.  Lattices grow by index-p extensions S + <x>, one per coset
-representative x modulo S and one Hermite form each.
+integers.  Lattices grow by index-p extensions S + <x>, one per line of
+order-p cosets modulo S and one Hermite form each; the cosets are walked
+as the points of the box, with no reduction.
 """
 
 from dataclasses import dataclass
@@ -33,8 +36,7 @@ class Subgroup:
     basis: tuple  # Hermite rows of the preimage lattice, r x r
 
     def __post_init__(self):
-        object.__setattr__(self, "basis",
-                           tuple(tuple(v for v in row) for row in self.basis))
+        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
 
     @property
     def order(self):
@@ -105,7 +107,8 @@ class Subgroup:
         b = self.basis
         # write the relation lattice K in terms of the basis: C * B = K
         # (C integral because K <= L); S = L/K = Z^r / rowspan(C)
-        cmat = [_solve_rows(b, row) for row in relation_rows(self.ambient)]
+        cmat = [_solve_rows(b, [m if j == i else 0 for j in range(r)])
+                for i, m in enumerate(mods)]
         d, _u, v = smith_normal_form(cmat)
         # coefficient rows map to the quotient by a |-> a V (row
         # convention), so the abstract generator e_k pulls back to row k
@@ -185,16 +188,8 @@ def _solve_rows(basis, x):
     return a
 
 
-def relation_rows(g):
-    mods = g.moduli()
-    r = g.rank
-    return [[mods[i] if j == i else 0 for j in range(r)] for i in range(r)]
-
-
 def subgroup_from_lattice_rows(ambient, rows):
-    allrows = [list(r) for r in rows] + relation_rows(ambient)
-    h = hermite_row_form(allrows, ambient.rank)
-    return Subgroup(ambient, tuple(tuple(r) for r in h))
+    return Subgroup(ambient, hermite_row_form(rows, ambient.moduli()))
 
 
 def subgroup_from_generators(ambient, gens):
@@ -284,7 +279,6 @@ def _elementary_subgroups(g):
 
 def _generic_subgroups(g):
     p = g.p
-    elements = g.elements()
     bottom = trivial_subgroup(g)
     seen = {bottom.basis: bottom}
     frontier = [bottom]
@@ -292,17 +286,16 @@ def _generic_subgroups(g):
         new = []
         for s in frontier:
             done = set()
-            for x in elements:
-                rep = s.coset_rep(x)
-                if rep in done or not any(rep):
+            # the coset representatives modulo S are the box points
+            for rep in product(*(range(row[i])
+                                 for i, row in enumerate(s.basis))):
+                if not s.contains_element([p * v for v in rep]) \
+                        or rep in done or not any(rep):
                     continue
                 # S + <x> = S + <k x> for k prime to p
                 done.update(s.coset_rep([k * v for v in rep])
-                            for k in range(1, p))
-                if not s.contains_element([p * v for v in rep]):
-                    continue
-                t = subgroup_from_lattice_rows(
-                    g, [list(row) for row in s.basis] + [list(rep)])
+                            for k in range(2, p))
+                t = subgroup_from_lattice_rows(g, s.basis + (rep,))
                 if t.basis not in seen:
                     seen[t.basis] = t
                     new.append(t)

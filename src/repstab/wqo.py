@@ -272,6 +272,19 @@ def _surjections(m, k):
             yield values
 
 
+def _law_check_count(size, cap):
+    """sum_{m=1..size} (sum_{k=1..m} k^m + m!): the value lists that
+    `_surjections(m, k)` walks for every k <= m, and the permutations of
+    each [m]; the summing stops at the first partial sum above `cap`."""
+    total, fact = 0, 1
+    for m in range(1, size + 1):
+        fact *= m
+        total += fact + sum(k ** m for k in range(1, m + 1))
+        if total > cap:
+            break
+    return total
+
+
 # ---------------------------------------------------------------------------
 # framings
 

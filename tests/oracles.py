@@ -46,6 +46,76 @@ def count_epis_bruteforce(t, g):
     return sum(1 for m in all_matrices(t, g) if is_onto_bruteforce(m, t, g))
 
 
+def _pivot(row):
+    for j, v in enumerate(row):
+        if v:
+            return j
+    return len(row)
+
+
+def _xgcd(a, b):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def hermite_row_form_oracle(rows, ncols):
+    """Row Hermite form of the lattice spanned by `rows`, over Z, with the
+    extended gcd: the form the modular `intmat.hermite_row_form` must
+    reproduce once the relation rows are appended.
+
+    Returns the nonzero rows in echelon order: pivots strictly move right,
+    pivot entries are positive, entries above a pivot are reduced into
+    [0, pivot).
+    """
+    basis = []  # kept in echelon order with distinct pivots
+    for vec in rows:
+        vec = list(vec)
+        i = 0
+        while True:
+            p = _pivot(vec)
+            if p == ncols:
+                break
+            # locate basis row with this pivot, or the insertion point
+            while i < len(basis) and _pivot(basis[i]) < p:
+                i += 1
+            if i < len(basis) and _pivot(basis[i]) == p:
+                brow = basis[i]
+                if vec[p] % brow[p] == 0:
+                    q = vec[p] // brow[p]
+                    for j in range(p, ncols):
+                        vec[j] -= q * brow[j]
+                else:
+                    g, x, y = _xgcd(brow[p], vec[p])
+                    q1, q2 = brow[p] // g, vec[p] // g
+                    new = [x * brow[j] + y * vec[j] for j in range(ncols)]
+                    vec = [q1 * vec[j] - q2 * brow[j] for j in range(ncols)]
+                    basis[i] = new
+            else:
+                basis.insert(i, vec)
+                break
+        # inserted rows may break echelon order below the insertion point;
+        # the loop above always leaves pivots distinct, so just resort
+        basis.sort(key=_pivot)
+    # normalize signs and reduce entries above each pivot; within a row the
+    # reductions must run left to right so later pivot columns stay clean
+    for i, row in enumerate(basis):
+        p = _pivot(row)
+        if row[p] < 0:
+            basis[i] = [-v for v in row]
+    for k in range(len(basis)):
+        for i in range(k + 1, len(basis)):
+            p = _pivot(basis[i])
+            q = basis[k][p] // basis[i][p]
+            if q:
+                for j in range(p, ncols):
+                    basis[k][j] -= q * basis[i][j]
+    return [list(r) for r in basis]
+
+
 def subgroups_bruteforce(g):
     """All subgroups as frozensets, by closing generated subsets."""
     mods = g.moduli()

@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -203,6 +204,23 @@ def test_wqo_check_command(capsys):
     assert json.loads(out)["ok"]
 
 
+def test_wqo_check_refuses_by_its_work(capsys):
+    # the sweeps walk sum_m (sum_{k<=m} k^m + m!) candidates; 7 is the
+    # largest size under the default bound, and 40 is refused at once
+    from repstab import config
+    from repstab.wqo import _law_check_count
+    bound = config.MAX_EPI_CANDIDATES
+    assert [_law_check_count(n, bound) for n in range(1, 6)] == \
+        [2, 9, 51, 429, 4974]
+    assert _law_check_count(7, bound) <= bound < _law_check_count(8, bound)
+    for size in ("8", "40", "1000000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(["wqo-check", "--size", size], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "scale-exceeded"
+
+
 def test_resolve_command(capsys, tmp_path):
     code, out, _ = run_cli(["resolve", "--object", "t(1)", "--bound", "8",
                             "--depth", "5", "--minimal",
@@ -287,6 +305,16 @@ def test_env_var_cache(tmp_path, monkeypatch, capsys):
                             "--family", "Z2inf"], capsys)
     assert code == 0
     assert (tmp_path / "envcache").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose-hom", "decompose-tensor"])
+def test_mixed_primes_refused(command, capsys, tmp_path):
+    # C2 x C3 is not a p-group: a typed refusal, not a list of summands
+    code, out, err = run_cli([command, "--g", "C2", "--h", "C3",
+                              "--family", "Z2inf", "--cache", str(tmp_path)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "shape-mismatch"
 
 
 @pytest.mark.parametrize("spec", ["Zpinf:4", "E4"])

@@ -8,7 +8,7 @@ from repstab.intmat import (hermite_row_form, smith_normal_form,
                             integer_kernel, solve_integer, mat_identity,
                             inverse_mod)
 
-from oracles import mat_mul
+from oracles import mat_mul, hermite_row_form_oracle
 
 
 def _is_unimodular(m):
@@ -93,10 +93,10 @@ def test_hermite_uniqueness_under_shuffles():
         if rng.random() < 0.7:
             rows += [[9 if j == i else 0 for j in range(m)]
                      for i in range(m)]
-        h1 = hermite_row_form(rows, m)
+        h1 = hermite_row_form_oracle(rows, m)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert hermite_row_form(shuffled, m) == h1
+        assert hermite_row_form_oracle(shuffled, m) == h1
         # canonical shape
         pivots = []
         for row in h1:
@@ -108,6 +108,40 @@ def test_hermite_uniqueness_under_shuffles():
             p = pivots[i]
             for k in range(i):
                 assert 0 <= h1[k][p] < row[p]
+
+
+def _relation_rows(mods):
+    return [[m if j == i else 0 for j in range(len(mods))]
+            for i, m in enumerate(mods)]
+
+
+def test_modular_hermite_matches_oracle():
+    # the modular form of span(rows) + diag(mods) equals the integer form
+    # with the relation rows written out: p in {2, 3, 5}, ranks 0-5, 0-5
+    # rows with negative entries, and rows already in the relation lattice
+    rng = random.Random(11)
+    for case in range(3000):
+        p = (2, 3, 5)[case % 3]
+        rank = rng.randint(0, 5)
+        exps = sorted((rng.randint(1, 4 if p == 2 else 3)
+                       for _ in range(rank)), reverse=True)
+        mods = tuple(p ** e for e in exps)
+        rows = [[rng.randint(-2 * m, 2 * m) for m in mods]
+                for _ in range(rng.randint(0, 5))]
+        if rank and rng.random() < 0.3:
+            rows.append([m * rng.randint(-2, 2) for m in mods])
+        want = hermite_row_form_oracle(rows + _relation_rows(mods), rank)
+        assert hermite_row_form(rows, mods) == want, (mods, rows)
+
+
+def test_modular_hermite_needs_unit_and_carry():
+    # Z/4 x Z/4 with the row (2, 1): the pivot of column 1 is 2, which
+    # only the carried row 2 (2, 1) - (4, 0) = (0, 2) reaches; over Z/9,
+    # the row (6) has pivot 3, its unit part 2 inverted
+    assert hermite_row_form([[2, 1]], (4, 4)) == [[2, 1], [0, 2]]
+    assert hermite_row_form([[6]], (9,)) == [[3]]
+    assert hermite_row_form([], (8, 2)) == [[8, 0], [0, 2]]
+    assert hermite_row_form([[5, 7]], ()) == []
 
 
 prime_power = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3))

@@ -11,7 +11,8 @@ from repstab.monoidal import (enumerate_wide, count_wide, tensor_decompose,
                               tensor_with_generator, lmn_bijections_check,
                               sigma_pullback_check, Product)
 from repstab.presentations import evaluate_dim, torsion_example_a
-from repstab.errors import FamilyNotGlobalMultiplicative, NotInFamily
+from repstab.errors import FamilyNotGlobalMultiplicative, NotInFamily, \
+    ShapeMismatch
 
 from repstab import monoidal, subgroups
 
@@ -123,6 +124,39 @@ def test_hom_oracle_agreement_small():
             for t in members:
                 assert hom_dimension(g, h, t, Z2) == \
                     hom_eval_oracle(g, h, t, Z2), (g, h, t)
+
+
+@pytest.mark.parametrize("spec", ["Z2inf", "Cpinf:2"])
+def test_hom_dimension_sums_vhom_spreads(spec):
+    # the spread census gives the dimension that the embedded virtual
+    # homs give, on every pair of groups of order <= 8
+    fam = parse_family_spec(spec)
+    members = Z2.members(8)
+    for g in members:
+        for h in members:
+            spreads = [v.spread for v in enumerate_vhom(g, h, fam)]
+            for t in members:
+                assert hom_dimension(g, h, t, fam) == sum(
+                    count_epis(t, s) for s in spreads), (g, h, t)
+
+
+def test_hom_dimension_embeds_nothing(monkeypatch):
+    # with the lattices warm and the virtual-hom memos cleared, the hom
+    # dimension reads the spreads alone: no A' is embedded
+    pairs = [(g, h) for g in Z2.members(8) for h in Z2.members(4)]
+    for g, h in pairs:
+        hom_dimension(g, h, C2, Z2)
+    monoidal._vhom_census.cache_clear()
+    monoidal._vhom_list.cache_clear()
+    calls = []
+    embed = monoidal._embed
+    monkeypatch.setattr(monoidal, "_embed",
+                        lambda s, t: calls.append(1) or embed(s, t))
+    for g, h in pairs:
+        for t in (TRIV, C2, C22):
+            hom_dimension(g, h, t, Z2)
+    assert calls == []
+    assert len(enumerate_vhom(C2, C2, Z2)) == len(calls) == 5
 
 
 def test_hom_oracle_unit_case():
@@ -254,6 +288,19 @@ def test_product_coordinates():
                 for idx in (0, 1):
                     assert prod.projection(idx).matrix == tuple(
                         map(tuple, prod.inclusion_rows(idx)))
+
+
+def test_product_refuses_mixed_primes():
+    C3 = cyclic(3, 1)
+    with pytest.raises(ShapeMismatch):
+        Product.of(C2, C3)
+    with pytest.raises(ShapeMismatch):
+        hom_decompose(C2, C3, Z2)
+    with pytest.raises(ShapeMismatch):
+        tensor_decompose(C4, group(3, [1, 1]), Z2)
+    # a trivial factor has no prime of its own
+    assert Product.of(trivial_group(3), C2).group == C2
+    assert Product.of(C3, TRIV).group == C3
 
 
 def _pullback_grid():
