@@ -105,11 +105,6 @@ def cyclic(p, e):
     return GroupType(p, (e,)) if e else GroupType(p, ())
 
 
-def delta_rank(g):
-    """Minimal size of a generating set (rank of the Frattini quotient)."""
-    return g.rank
-
-
 # Miller-Rabin with the first thirteen prime bases is exact below this
 # bound (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

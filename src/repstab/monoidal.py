@@ -120,10 +120,10 @@ def _wide_list(g, h):
     prod = Product.of(g, h)
     projl, projr = prod.projection(0), prod.projection(1)
     out = []
+    right = [(n2, *quotient(h, n2)) for n2 in enumerate_subgroups(h)]
     for n1 in enumerate_subgroups(g):
         q1, pi1 = quotient(g, n1)
-        for n2 in enumerate_subgroups(h):
-            q2, pi2 = quotient(h, n2)
+        for n2, q2, pi2 in right:
             if q2 != q1:
                 continue
             for psi in automorphisms(q1):

@@ -7,6 +7,15 @@ description of a map e_H -> sum e_{G_i}).  Evaluation at T is the cokernel
 of the evaluated relation matrix, with basis labels (generator index,
 surjection) surviving the first-independent convention of
 :mod:`repstab.linalg`.
+
+Let e be the largest exponent of a generator or relation source.  Then X
+sees T only through T/p^e T = sum Z/p^min(l_j, e): a matrix T -> G is well
+defined when p^max(0, mu_i - l_j) divides entry (i, j), a bound that with
+mu_i <= e is unchanged when l_j becomes min(l_j, e), and surjectivity is
+read mod p.  So Epi(T, G) and Epi(T/p^e T, G) are the same matrices in the
+same order for every generator and relation source G; so are the relation
+columns, their echelon form and every pullback lookup, and X(T) is
+X(T/p^e T) with the source of each label set back to T.
 """
 
 from dataclasses import dataclass
@@ -15,7 +24,7 @@ from functools import lru_cache, partial
 
 from . import config
 from .errors import NotInFamily, NotSurjective
-from .groups import (GroupType, make_morphism, identity_morphism,
+from .groups import (GroupType, Morphism, make_morphism, identity_morphism,
                      enumerate_epis, first_epi, count_epis, is_surjective,
                      quotient_exists, trivial_group, cyclic,
                      aut_transitive_on_epis, automorphism_generators,
@@ -52,7 +61,8 @@ class PresentedObject:
     """Finitely presented object: generators plus relation columns.
 
     `scale` is the largest order at which a presentation built up to a
-    scale is exact; None means exact at every order.
+    scale is exact; None means exact at every order.  `exponent` is the
+    largest exponent (log_p) of a generator or relation source.
     """
 
     def __init__(self, family, generators, rel_sources=(), columns=(),
@@ -78,6 +88,8 @@ class PresentedObject:
                     continue
                 if entry.source != h or entry.target != self.generators[i]:
                     raise ValueError("misaligned combination endpoints")
+        self.exponent = max((g.exponent_log for g in
+                             self.generators + self.rel_sources), default=0)
         self._evals = {}
 
     def content_key(self):
@@ -134,21 +146,35 @@ def _eval_data(x, t, limit=None):
     _check_in_range(x, t)
     config.check_order(t.order, limit, what="evaluation")
     got = x._evals.get(t)
-    if got is not None:
-        return got
-    labels = []
-    for i, g in enumerate(x.generators):
-        for u in enumerate_epis(t, g):
-            labels.append((i, u))
+    if got is None:
+        # Epi(t, G) = Epi(t/p^e t, G) as matrices for G of exponent <= p^e
+        # (module docstring): share the span and re-source the labels at t
+        e = x.exponent
+        low = GroupType(t.p, tuple(min(l, e) for l in t.exponents)) if e else t
+        got = x._evals.get(low)
+        if got is None:
+            got = x._evals[low] = _evaluate(x, low)
+        if low != t:
+            labels = [(i, Morphism(t, u.target, u.matrix))
+                      for i, u in got.labels]
+            surv = got.coker.surviving()
+            got = EvalData(labels, got.index, got.coker, BasedSpace(
+                len(surv), tuple(labels[r] for r in surv)))
+        x._evals[t] = got
+    return got
+
+
+def _evaluate(x, t):
+    labels = [(i, u) for i, g in enumerate(x.generators)
+              for u in enumerate_epis(t, g)]
     index = {(i, u.matrix): k for k, (i, u) in enumerate(labels)}
     coker = StreamCoker(len(labels))
     mods = [g.moduli() for g in x.generators]
     # The relation span is an Aut(t)-submodule: the column of beta o sigma
-    # is the column of beta with each label (i, u) moved to (i, u o sigma).
-    # When Aut(t) is transitive on every Epi(t, h), one surjection per
-    # relation source and the closure under automorphism generators span
-    # it; the echelon form, hence everything downstream, depends only on
-    # the span.
+    # is that of beta with each label (i, u) moved to (i, u o sigma).  When
+    # Aut(t) is transitive on every Epi(t, h), one surjection per source,
+    # closed under automorphism generators, spans it; the echelon form
+    # depends only on the span.
     transitive = aut_transitive_on_epis(t)
     raised = []
     for h, col_entries in zip(x.rel_sources, x.columns):
@@ -174,10 +200,8 @@ def _eval_data(x, t, limit=None):
             lambda col, perm=perm: {perm[k]: v for k, v in col.items()}
             for perm in perms])
     surv = coker.surviving()
-    sp = BasedSpace(len(surv), tuple(labels[r] for r in surv))
-    data = EvalData(labels, index, coker, sp)
-    x._evals[t] = data
-    return data
+    return EvalData(labels, index, coker,
+                    BasedSpace(len(surv), tuple(labels[r] for r in surv)))
 
 
 def evaluate(x, t, limit=None):
@@ -515,7 +539,7 @@ def _simple_presentation(family, g, scale):
     rel_sources = [g] * len(columns)
     for t in family.members(max_order=scale):
         if t.order > g.order:
-            for alpha in _orbit_reps(t, g):
+            for alpha in _orbit_structure(t, g)[0]:
                 rel_sources.append(t)
                 columns.append(
                     (MorphismCombination.make(t, g, [(alpha, 1)]),))
@@ -525,15 +549,16 @@ def _simple_presentation(family, g, scale):
 
 def _coinduced_functor(family, g):
     def space_fn(t):
-        return BasedSpace(len(_orbit_reps(g, t)), tuple(_orbit_reps(g, t)))
+        reps = _orbit_structure(g, t)[0]
+        return BasedSpace(len(reps), reps)
 
     def push_fn(alpha, vec):
         # the pullback precomposes orbit indicator functions with
         # (alpha o -): orbit rep gamma: g -> source takes the value at
         # the orbit of alpha o gamma
-        tlookup = _orbit_lookup(g, alpha.target)
+        tlookup = _orbit_structure(g, alpha.target)[1]
         out = {}
-        for r, gamma in enumerate(_orbit_reps(g, alpha.source)):
+        for r, gamma in enumerate(_orbit_structure(g, alpha.source)[0]):
             v = vec.get(tlookup[(alpha @ gamma).matrix])
             if v:
                 out[r] = v
@@ -567,14 +592,6 @@ def _orbit_structure(g, t):
     return tuple(reps), lookup
 
 
-def _orbit_reps(g, t):
-    return _orbit_structure(g, t)[0]
-
-
-def _orbit_lookup(g, t):
-    return _orbit_structure(g, t)[1]
-
-
 def _chi_functor(family, interval):
     def space_fn(t):
         inside = interval.contains(t)
@@ -600,6 +617,8 @@ def restrict_presentation(x, subfamily):
     """
     if not subfamily.downward_closed:
         raise NotInFamily("restriction requires a downward-closed subfamily")
+    if subfamily.p != x.family.p:
+        raise NotInFamily(f"{x!r} is not over the prime of {subfamily!r}")
     keep_gen = [i for i, g in enumerate(x.generators)
                 if subfamily.contains(g)]
     gens = tuple(x.generators[i] for i in keep_gen)

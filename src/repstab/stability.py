@@ -14,7 +14,7 @@ from .errors import (TowerUnavailable, NotStabilized, NotAInfinity,
                      FamilyUnsupported, FamilyNotExpansive,
                      FamilyNotSubmultiplicative, InvariantViolation)
 from .groups import (Morphism, make_morphism, enumerate_epis, first_epi,
-                     count_epis, quotient_exists, delta_rank,
+                     count_epis, quotient_exists,
                      aut_transitive_on_epis, automorphism_generators,
                      orbit_roots, section)
 from .linalg import (BasedSpace, QMatrix, FinitePosetDiagram,
@@ -175,12 +175,13 @@ def torsion_subspace(x, g, tower, max_stage=6, limit=None):
     dim = evaluate_dim(x, g, limit)
     stages = []
     for stage in range(max_stage + 1):
-        alpha = first_epi(tower.group(stage), g)
+        t = tower.group(stage)
+        if not x.family.contains(t):
+            raise TowerUnavailable(
+                f"tower stage {t!r} escapes {x.family!r}")
+        alpha = first_epi(t, g)
         if alpha is None:
             continue
-        if not x.family.contains(alpha.source):
-            raise TowerUnavailable(
-                f"tower stage {alpha.source!r} escapes the family")
         mat = structure_map(x, alpha, limit or _STAGE_ORDER_LIMIT)
         stages.append(sparse_kernel(mat)[0])
     if not stages:
@@ -412,7 +413,7 @@ def omega_order(x, n, family, max_rank, limit=None):
     rows = []
     for g in sample:
         d = evaluate_dim(x, g, limit)
-        delta = delta_rank(g)
+        delta = g.rank   # minimal number of generators
         rows.append((g, d, delta, Fraction(d, n ** delta)))
     tails = []
     for m in range(max_rank + 1):

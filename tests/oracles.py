@@ -398,6 +398,53 @@ def relation_span_bruteforce(x, t):
     return coker
 
 
+def eval_data_unreduced(x, t):
+    """X(t) computed at t itself, never at t / p^e t.
+
+    The evaluation `repstab.presentations._eval_data` ran before it
+    learned to factor through the largest quotient the generators and
+    relation sources can see: labels are the surjections t -> G_i, and
+    the relation columns come from every surjection t -> h, or from one
+    closed under Aut(t) when Aut(t) is transitive on them.  Uses no memo.
+    """
+    from repstab.groups import (aut_transitive_on_epis,
+                                automorphism_generators, enumerate_epis,
+                                first_epi, quotient_exists, _compose)
+    from repstab.linalg import BasedSpace, StreamCoker
+    from repstab.presentations import EvalData, _pulled_back
+    labels = [(i, u) for i, g in enumerate(x.generators)
+              for u in enumerate_epis(t, g)]
+    index = {(i, u.matrix): k for k, (i, u) in enumerate(labels)}
+    coker = StreamCoker(len(labels))
+    mods = [g.moduli() for g in x.generators]
+    transitive = aut_transitive_on_epis(t)
+    raised = []
+    for h, col_entries in zip(x.rel_sources, x.columns):
+        terms = [(i, mor.matrix, mods[i],
+                  coeff.numerator if coeff.denominator == 1 else coeff)
+                 for i, entry in enumerate(col_entries) if entry is not None
+                 for mor, coeff in entry.terms]
+        betas = ((first_epi(t, h),) if transitive and quotient_exists(t, h)
+                 else enumerate_epis(t, h))
+        for beta in betas:
+            col = {}
+            for i, rows, m, coeff in terms:
+                k = index[(i, _compose(rows, beta.columns, m))]
+                col[k] = col.get(k, 0) + coeff
+            col = {k: v for k, v in col.items() if v}
+            if col and coker.offer(col):
+                raised.append(col)
+    if transitive and raised:
+        perms = [_pulled_back(x, index, labels, sigma)
+                 for sigma in automorphism_generators(t)]
+        coker.close_under(raised, [
+            lambda col, perm=perm: {perm[k]: v for k, v in col.items()}
+            for perm in perms])
+    surv = coker.surviving()
+    return EvalData(labels, index, coker,
+                    BasedSpace(len(surv), tuple(labels[r] for r in surv)))
+
+
 def simple_presentation_bruteforce(family, g, scale):
     """The simple object at g presented up to `scale` without orbits: a
     relation psi - id for every automorphism psi of g and one relation

@@ -497,3 +497,18 @@ def test_readme_commands_run(tmp_path, subprocess_env):
                              text=True, timeout=60)
         assert run.returncode == 0, (argv, run.stderr)
         assert run.stdout.strip(), argv
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["stability-scan", "--object", "misc-b", "--restrict", "E3",
+      "--max-rank", "2"], "not-in-family"),
+    (["torsion", "--object", "misc-b", "--group", "C2", "--tower", "F9",
+      "--max-stage", "3"], "tower-unavailable")],
+    ids=["restrict", "tower"])
+def test_prime_mismatch_is_refused(argv, error, tmp_path, capsys):
+    # a 2-group object is neither restricted to a 3-group family nor
+    # pulled back along a tower of 3-groups: both used to exit 0 with an
+    # empty answer
+    code, out, err = run_cli(argv + ["--cache", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error

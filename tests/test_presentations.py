@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from repstab import groups
 from repstab.groups import (group, cyclic, trivial_group, make_morphism,
                             enumerate_epis, automorphisms, identity_morphism,
-                            quotient_exists)
-from repstab.families import all_abelian, cyclic_family, elementary
+                            quotient_exists, first_epi)
+from repstab.families import (all_abelian, cyclic_family, elementary,
+                              parse_group_spec)
 from repstab.presentations import (PresentedObject,
                                    free_object, unit_object, evaluate,
                                    evaluate_dim, structure_map,
@@ -16,14 +18,16 @@ from repstab.presentations import (PresentedObject,
                                    restrict_presentation, direct_sum,
                                    quotient_by_elements, torsion_example_a,
                                    torsion_example_b,
-                                   _eval_data, functor_of_presentation,
+                                   _eval_data, _pulled_back,
+                                   functor_of_presentation,
                                    kernel_functor, _cover,
                                    _coinduced_functor, _chi_functor)
 from repstab.errors import NotInFamily, NotSurjective, ScaleExceeded
 from repstab.cli import parse_object_spec
 
-from oracles import (dense_columns, dense_evaluate_dim, normalized_pivots,
-                     relation_span_bruteforce, simple_presentation_bruteforce)
+from oracles import (dense_columns, dense_evaluate_dim, eval_data_unreduced,
+                     normalized_pivots, relation_span_bruteforce,
+                     simple_presentation_bruteforce)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -62,7 +66,7 @@ def test_evaluation_matches_dense_bruteforce():
 
 
 @pytest.mark.parametrize("spec,scale,bound", [
-    ("misc-a(2)", 16, 64), ("misc-b", 16, 64), ("misc-a(3)", 16, 81),
+    ("misc-a(2)", 16, 64), ("misc-b", 16, 64), ("misc-a(3)", 16, 243),
     ("misc-a(5)", 16, 125), ("s(C2)", 16, 16), ("s(C2^2)", 16, 16),
     ("s(C3)", 27, 27), ("s(C4xC2)", 16, 16), ("c(C4)", 16, 16),
     ("c(C2^2)", 16, 16), ("c(C9)", 16, 27), ("c(C4xC2)", 16, 16),
@@ -74,6 +78,62 @@ def test_relation_span_matches_bruteforce(spec, scale, bound):
     for t in x.family.members(bound):
         assert normalized_pivots(_eval_data(x, t).coker) == \
             normalized_pivots(relation_span_bruteforce(x, t)), (spec, t)
+
+
+@pytest.mark.parametrize("spec,scale,bound,above", [
+    ("misc-a(2)", 16, 32, "C8xC4"), ("misc-a(3)", 16, 729, "C9xC3^3"),
+    ("misc-a(5)", 16, 125, "C25xC5"), ("misc-b", 16, 32, "C8xC4"),
+    ("e(C4)", 16, 32, "C8xC4"), ("c(C4)", 16, 32, "C8xC4"),
+    ("s(C4xC2)", 32, 32, "C32")])
+def test_truncated_evaluation_matches_unreduced(spec, scale, bound, above):
+    # X(t) is computed at t / p^e t and its labels re-sourced at t: the
+    # same matrices in enumerate_epis(t, g) order, the same surviving rows
+    # and the same relation span as evaluating at t itself
+    x = parse_object_spec(spec, scale=scale)
+    members = x.family.members(bound)
+    truncated = [t for t in members if t.exponent_log > x.exponent]
+    assert parse_group_spec(above) in truncated, (spec, x.exponent)
+    for t in members:
+        got, want = _eval_data(x, t), eval_data_unreduced(x, t)
+        assert got.labels == want.labels == [
+            (i, u) for i, g in enumerate(x.generators)
+            for u in enumerate_epis(t, g)], (spec, t)
+        assert got.space == want.space, (spec, t)
+        assert got.coker.surviving() == want.coker.surviving(), (spec, t)
+        assert normalized_pivots(got.coker) == \
+            normalized_pivots(want.coker), (spec, t)
+
+
+@pytest.mark.parametrize("spec,pairs", [
+    ("misc-a(3)", [("C9xC3^3", "C9xC3"), ("C27xC3", "C9xC3"),
+                   ("C9xC3^3", "C3^3"), ("C9xC9", "C9xC3")]),
+    ("e(C4)", [("C8xC4", "C8xC2"), ("C8xC2", "C4xC2"), ("C8xC4", "C4xC2")]),
+    ("c(C4)", [("C8xC4", "C8xC2"), ("C8xC2", "C4xC2"), ("C8xC4", "C4^2")]),
+    ("misc-b", [("C8xC4", "C8xC2"), ("C8xC2", "C4xC2"), ("C8xC2^2", "C2^3")]),
+])
+def test_truncated_structure_maps_match_unreduced(spec, pairs):
+    # the pullback along a surjection between mixed-exponent groups is
+    # the matrix read off the unreduced evaluations at both ends
+    x = parse_object_spec(spec)
+    for s_spec, t_spec in pairs:
+        s_grp, t_grp = parse_group_spec(s_spec), parse_group_spec(t_spec)
+        epis = enumerate_epis(s_grp, t_grp)
+        src = eval_data_unreduced(x, t_grp)
+        dst = eval_data_unreduced(x, s_grp)
+        for alpha in [first_epi(s_grp, t_grp)] + epis[1::max(1, len(epis) // 4)]:
+            want = [dst.coker.project({k: 1}) for k in
+                    _pulled_back(x, dst.index, src.space.labels, alpha)]
+            assert list(structure_map(x, alpha).columns) == want, \
+                (spec, alpha)
+
+
+def test_truncated_evaluation_walks_no_mixed_exponent_epis(monkeypatch):
+    # misc-a(3) has exponent 1, so C9 x C3^3 is evaluated at C3^4 and the
+    # 6,240 surjections C9 x C3^3 -> C3^2 are never enumerated
+    monkeypatch.setattr(groups, "_EPI_CACHE", {})
+    t = group(3, [2, 1, 1, 1])
+    assert evaluate_dim(torsion_example_a(3), t) == 1
+    assert (t, group(3, [1, 1])) not in groups._EPI_CACHE
 
 
 @pytest.mark.parametrize("spec,scale", [
@@ -296,6 +356,9 @@ def test_restriction_drops_outside_data():
     rc = restrict_presentation(x, cyclic_family(2))
     assert rc.rel_sources == ()  # relation source C2^2 dropped
     assert evaluate_dim(rc, C2) == 1
+    # a subfamily over another prime would silently drop every generator
+    with pytest.raises(NotInFamily):
+        restrict_presentation(x, elementary(3))
 
 
 def test_direct_sum_dims_add():
