@@ -507,8 +507,8 @@ def test_readme_commands_run(tmp_path, subprocess_env):
     ids=["restrict", "tower"])
 def test_prime_mismatch_is_refused(argv, error, tmp_path, capsys):
     # a 2-group object is neither restricted to a 3-group family nor
-    # pulled back along a tower of 3-groups: both used to exit 0 with an
-    # empty answer
+    # pulled back along a tower of 3-groups, either of which would give
+    # an empty answer
     code, out, err = run_cli(argv + ["--cache", str(tmp_path)], capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == error
