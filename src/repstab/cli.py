@@ -7,6 +7,7 @@ counterexample.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -25,11 +26,11 @@ def parse_object_spec(text, family=None, scale=16):
                                 unit_object, BuiltinObject,
                                 builtin_to_presentation)
     t = text.strip()
-    path = Path(t)
-    if t.endswith(".json") or path.exists():
+    # os.path.exists is False on any OSError, a name too long among them
+    if t.endswith(".json") or os.path.exists(t):
         import json
         try:
-            with open(path) as fh:
+            with open(t) as fh:
                 blob = json.load(fh)
         except OSError as exc:
             raise ParseError(f"cannot read object file {t!r}: "
@@ -68,7 +69,11 @@ def _emit(args, payload, csv_text=None):
     else:
         text = serialize.dumps(payload)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {args.out!r}: "
+                             f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -245,12 +250,15 @@ def cmd_framing_factor(args):
     from .families import parse_group_spec
     from .wqo import Framing, factor_framing, ols, is_tautological
     target = parse_group_spec(args.target)
-    labels = tuple(int(v) for v in args.labels.split(","))
-    assignment = []
-    for chunk in args.assign.split(";"):
-        assignment.append(tuple(int(v) for v in chunk.split(","))
-                          if chunk.strip() else ())
-    f = Framing(ols(*labels), target, tuple(assignment))
+    try:
+        domain = ols(*(int(v) for v in args.labels.split(",")))
+        assignment = tuple(tuple(int(v) for v in chunk.split(","))
+                           if chunk.strip() else ()
+                           for chunk in args.assign.split(";"))
+    except ValueError as exc:
+        raise ParseError(f"bad framing --labels {args.labels!r} --assign "
+                         f"{args.assign!r}: {exc}") from exc
+    f = Framing(domain, target, assignment)
     mor, taut = factor_framing(f)
     payload = {
         "morphism_values": list(mor.values),
@@ -332,7 +340,7 @@ def build_parser():
     p = sub.add_parser("resolve")
     p.add_argument("--object", required=True)
     p.add_argument("--bound", type=_at_least(1), required=True)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_at_least(0), default=8)
     p.add_argument("--minimal", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_resolve)

@@ -23,7 +23,7 @@ from operator import mul
 from . import config
 from .errors import (DivisibilityViolation, NotSurjective, ScaleExceeded,
                      ShapeMismatch)
-from .intmat import inverse_mod, solve_integer
+from .intmat import hermite_row_form, inverse_mod
 
 
 @dataclass(frozen=True)
@@ -528,24 +528,32 @@ def _adapted_basis(f):
     return vecs
 
 
-def section(f):
-    """Integer preimages of the standard generators of f.target.
+def graph_rows(f):
+    """Rows (f(e_j), e_j), target coordinates first, and the moduli
+    (mu, lambda): with their relations they span the graph lattice
+    {(y, x) : y = f(x) mod mu} of f in Z^(s + r)."""
+    r = f.source.rank
+    rows = [col + tuple(int(i == j) for i in range(r))
+            for j, col in enumerate(f.columns)]
+    return rows, f.target.moduli() + f.source.moduli()
 
-    Entry k solves f(x) = e_k over the integers against the relations
-    p^mu_i of the target, so f(x mod f.source.moduli()) = e_k; the
-    entries are not reduced.  `f` must be surjective.
+
+def section(f):
+    """Preimages x_k of the standard generators e_k of f.target.
+
+    The projection of the graph lattice to its first s = rank(target)
+    coordinates is the image of f plus the relations, so f is onto
+    exactly when the top-left block of the lattice's Hermite form is the
+    identity.  Its rows are then (e_k, x_k) with f(x_k) = e_k, and x_k is
+    reduced into the box of the kernel's pivots, the lower-right block.
+    A pivot other than 1 in column k means e_k is not in the image.
     """
-    mods = f.target.moduli()
-    ll = f.target.rank
-    mat = [list(f.matrix[i]) + [mods[i] if k == i else 0 for k in range(ll)]
-           for i in range(ll)]
-    out = []
-    for k in range(ll):
-        sol = solve_integer(mat, [1 if i == k else 0 for i in range(ll)])
-        if sol is None:
+    s = f.target.rank
+    h = hermite_row_form(*graph_rows(f))
+    for k in range(s):
+        if h[k][k] != 1:
             raise NotSurjective(f"{f!r} misses generator {k} of its target")
-        out.append(sol[:f.source.rank])
-    return out
+    return [row[s:] for row in h[:s]]
 
 
 def orbit_roots(n, pairs):

@@ -1,14 +1,18 @@
-"""Exact integer matrix routines: Hermite and Smith normal forms, kernels,
-and the inverse modulo an integer.
+"""Exact integer matrix routines: the Hermite and Smith normal forms and
+the inverse modulo an integer.
 
 Everything here works on small dense matrices given as lists of row lists.
 Sizes stay in the single digits to low tens, so the classical cubic
 algorithms with exact big integers are entirely adequate.  The Hermite
-form is the group layer's canonical form of a subgroup: it is taken of
-span(rows) + diag(p^l_1, ..., p^l_r) Z^r with the relation rows implicit,
-and it is computed modulo p^l_1 with p-power pivots (Domich, Kannan and
-Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course in Computational
-Algebraic Number Theory, Alg. 2.4.8), so no entry outgrows p^l_1.
+form is the group layer's one lattice primitive.  It is taken of
+span(rows) + diag(m_1, ..., m_r) Z^r with the relation rows implicit, the
+moduli powers of one prime in any order, and it is computed modulo their
+largest with p-power pivots (Domich, Kannan and Trotter, Math. Oper. Res.
+12, 1987; Cohen, A Course in Computational Algebraic Number Theory, Alg.
+2.4.8), so no entry outgrows it.  It answers membership and coset
+representatives, and, as blocks of the form of a stacked lattice,
+kernels, intersections and sections (see `subgroups`).  The Smith form
+serves only isomorphism types: quotients and subgroup decompositions.
 `inverse_mod` is the group layer's one matrix inverse.  It works in Z/m,
 so a unimodular transform needs no Fractions: its inverse modulo a
 multiple of every modulus it is read under gives the same results.
@@ -26,12 +30,12 @@ def mat_identity(n):
 def hermite_row_form(rows, moduli):
     """Row Hermite form of span(rows) + diag(moduli) Z^r.
 
-    `moduli` are powers p^l_1 >= ... >= p^l_r of one prime, so L contains
-    D Z^r, D = p^l_1, and its form has row c with pivot p^v on the
-    diagonal and entries above a pivot in [0, pivot); uniqueness makes it
-    a canonical form.  The relation rows p^l_c e_c are never written out.
-    Before column c, the rows left hold L meet (0^c x Z^(r-c)) together
-    with the relations of columns c and up:
+    `moduli` are powers p^l_1, ..., p^l_r of one prime, in any order, so
+    L contains D Z^r, D = max(moduli), and its form has row c with pivot
+    p^v on the diagonal and entries above a pivot in [0, pivot);
+    uniqueness makes it a canonical form.  The relation rows p^l_c e_c
+    are never written out.  Before column c, the rows left hold L meet
+    (0^c x Z^(r-c)) together with the relations of columns c and up:
     - entries of column j are read mod p^l_j, a relation;
     - the pivot is a row of least p-valuation v, found as the least
       gcd with D, or p^l_c e_c when every row is 0 there; times the
@@ -42,7 +46,7 @@ def hermite_row_form(rows, moduli):
       relation that vanishes in column c.
     """
     r = len(moduli)
-    d = moduli[0] if r else 1
+    d = max(moduli, default=1)
     work = [[v % m for v, m in zip(row, moduli)] for row in rows]
     basis = []
     for c, m in enumerate(moduli):
@@ -162,37 +166,6 @@ def smith_normal_form(mat):
                 U[t][j] = -U[t][j]
     d = [a[i][i] for i in range(min(n, m))]
     return d, U, V
-
-
-def integer_kernel(mat, ncols):
-    """Basis (list of length-ncols rows) of {x : mat @ x = 0} over Z."""
-    nrows = len(mat)
-    if nrows == 0:
-        return mat_identity(ncols)
-    d, _u, v = smith_normal_form(mat)
-    basis = []
-    for j in range(ncols):
-        if j >= len(d) or d[j] == 0:
-            basis.append([v[r][j] for r in range(ncols)])
-    return basis
-
-
-def solve_integer(mat, target):
-    """Some integer x with mat @ x = target, or None if unsolvable."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    d, u, v = smith_normal_form(mat)
-    b = [sum(u[i][k] * target[k] for k in range(nrows)) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i] if i < len(d) else 0
-        if di:
-            if b[i] % di:
-                return None
-            y[i] = b[i] // di
-        elif b[i]:
-            return None
-    return [sum(v[i][k] * y[k] for k in range(ncols)) for i in range(ncols)]
 
 
 def inverse_mod(mat, modulus):

@@ -153,6 +153,11 @@ def _eval_data(x, t, limit=None):
         low = GroupType(t.p, tuple(min(l, e) for l in t.exponents)) if e else t
         got = x._evals.get(low)
         if got is None:
+            # the elimination over n labels costs up to n^2 offers; count
+            # the labels in closed form before enumerating any of them
+            config.check_candidates(
+                sum(count_epis(low, g) for g in x.generators) ** 2,
+                what="evaluation")
             got = x._evals[low] = _evaluate(x, low)
         if low != t:
             labels = [(i, Morphism(t, u.target, u.matrix))

@@ -17,6 +17,18 @@ of the coset x + S in the box [0, B_ii).  Everything here stays in the
 integers.  Lattices grow by index-p extensions S + <x>, one per line of
 order-p cosets modulo S and one Hermite form each; the cosets are walked
 as the points of the box, with no reduction.
+
+Kernels and intersections are blocks of one Hermite form of a stacked
+lattice in Z^(s + r).  An upper-triangular form puts the part of the
+lattice that vanishes in the first s coordinates in its last rows, and
+that part's own form is the lower-right block, already canonical.
+- Graph lattice: for f: G -> H, the rows (f(e_j), e_j) with moduli
+  (mu, lambda) span {(y, x) : y = f(x) mod mu}, whose part with y = 0 is
+  the preimage lattice of ker f.  (`groups.section` reads the top rows.)
+- Zassenhaus: the rows (b, b) for the basis of S and (b', 0) for that of
+  T, with moduli (lambda, lambda), span {(u, v) : v in L_S, u - v in L_T},
+  whose part with u = 0 is L_S meet L_T, the lattice of S meet T.
+Only quotient types and generator decompositions take a Smith form.
 """
 
 from dataclasses import dataclass
@@ -25,9 +37,8 @@ from itertools import product
 
 from . import config
 from .errors import NotASubgroup, FamilyNotSubmultiplicative
-from .groups import GroupType, make_morphism, enumerate_epis
-from .intmat import (hermite_row_form, inverse_mod, smith_normal_form,
-                     integer_kernel)
+from .groups import GroupType, make_morphism, enumerate_epis, graph_rows
+from .intmat import hermite_row_form, inverse_mod, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -62,20 +73,14 @@ class Subgroup:
         return all(self.contains_element(row) for row in other.basis)
 
     def intersect(self, other):
+        """S meet T from the Hermite form of the rows (b, b) and (b', 0)."""
         if other.ambient != self.ambient:
             raise NotASubgroup("ambient groups differ")
         r = self.ambient.rank
-        b1 = [list(row) for row in self.basis]
-        b2 = [list(row) for row in other.basis]
-        # solve a*b1 = c*b2: kernel of [b1^T | -b2^T]
-        mat = [[b1[k][i] for k in range(r)] + [-b2[k][i] for k in range(r)]
-               for i in range(r)]
-        ker = integer_kernel(mat, 2 * r)
-        gens = []
-        for coeffs in ker:
-            gens.append([sum(coeffs[k] * b1[k][i] for k in range(r))
-                         for i in range(r)])
-        return subgroup_from_lattice_rows(self.ambient, gens)
+        rows = ([row + row for row in self.basis]
+                + [row + (0,) * r for row in other.basis])
+        h = hermite_row_form(rows, self.ambient.moduli() * 2)
+        return Subgroup(self.ambient, [row[r:] for row in h[r:]])
 
     def elements(self):
         """All elements (tuples mod the ambient moduli), sorted."""
@@ -304,17 +309,11 @@ def _generic_subgroups(g):
 
 
 def kernel(f):
-    """Kernel of a morphism as a subgroup of its source."""
-    src, tgt = f.source, f.target
-    r, s = src.rank, tgt.rank
-    tmods = tgt.moduli()
-    # solutions of A x = diag(p^mu) y: kernel of [A | -diag]
-    mat = [[f.matrix[i][j] for j in range(r)]
-           + [-tmods[i] if k == i else 0 for k in range(s)]
-           for i in range(s)]
-    ker = integer_kernel(mat, r + s)
-    rows = [k[:r] for k in ker]
-    return subgroup_from_lattice_rows(src, rows)
+    """Kernel of a morphism as a subgroup of its source: the lower-right
+    block of the graph lattice's Hermite form."""
+    s = f.target.rank
+    h = hermite_row_form(*graph_rows(f))
+    return Subgroup(f.source, [row[s:] for row in h[s:]])
 
 
 def image(f):

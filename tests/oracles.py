@@ -553,6 +553,40 @@ def mat_mul(a, b):
              for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
 
 
+def integer_kernel(mat, ncols):
+    """Basis (list of length-ncols rows) of {x : mat @ x = 0} over Z, from
+    the Smith form with transforms."""
+    from repstab.intmat import mat_identity, smith_normal_form
+    nrows = len(mat)
+    if nrows == 0:
+        return mat_identity(ncols)
+    d, _u, v = smith_normal_form(mat)
+    basis = []
+    for j in range(ncols):
+        if j >= len(d) or d[j] == 0:
+            basis.append([v[r][j] for r in range(ncols)])
+    return basis
+
+
+def solve_integer(mat, target):
+    """Some integer x with mat @ x = target, or None if unsolvable."""
+    from repstab.intmat import smith_normal_form
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    d, u, v = smith_normal_form(mat)
+    b = [sum(u[i][k] * target[k] for k in range(nrows)) for i in range(nrows)]
+    y = [0] * ncols
+    for i in range(nrows):
+        di = d[i] if i < len(d) else 0
+        if di:
+            if b[i] % di:
+                return None
+            y[i] = b[i] // di
+        elif b[i]:
+            return None
+    return [sum(v[i][k] * y[k] for k in range(ncols)) for i in range(ncols)]
+
+
 def image_subgroup(f, s):
     """Image f(S) of a subgroup of the source of f, generated by the
     images of its generators."""
@@ -564,7 +598,6 @@ def preimage(f, s):
     """Preimage of a subgroup of the target under a morphism: the x with
     f(x) = y for some y in s, read off one integer kernel."""
     from repstab.errors import NotASubgroup
-    from repstab.intmat import integer_kernel
     from repstab.subgroups import subgroup_from_lattice_rows
     if s.ambient != f.target:
         raise NotASubgroup("subgroup not inside the morphism target")
@@ -574,6 +607,21 @@ def preimage(f, s):
            for i in range(t)]
     rows = [k[:r] for k in integer_kernel(mat, r + t)]
     return subgroup_from_lattice_rows(f.source, rows)
+
+
+def intersect_via_kernel(s, other):
+    """S meet T from one integer kernel: the a with a B_S = c B_T, for the
+    Hermite bases B of the two preimage lattices."""
+    from repstab.errors import NotASubgroup
+    from repstab.subgroups import subgroup_from_lattice_rows
+    if other.ambient != s.ambient:
+        raise NotASubgroup("ambient groups differ")
+    r = s.ambient.rank
+    mat = [[s.basis[k][i] for k in range(r)]
+           + [-other.basis[k][i] for k in range(r)] for i in range(r)]
+    gens = [[sum(a[k] * s.basis[k][i] for k in range(r)) for i in range(r)]
+            for a in integer_kernel(mat, 2 * r)]
+    return subgroup_from_lattice_rows(s.ambient, gens)
 
 
 def sum_with(s, other):

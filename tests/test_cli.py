@@ -264,8 +264,10 @@ def test_usage_and_input_errors(capsys, tmp_path):
     ["eval", "--object", "s(C2)", "--group", "C2^2", "--scale", "-1"],
     ["omega", "--object", "e(C2)", "--n", "2", "--family", "E2",
      "--scale", "0"],
+    ["resolve", "--object", "t(1)", "--bound", "8", "--depth", "-1"],
 ], ids=["torsion", "stability-scan", "omega", "wqo-check", "tau-scan",
-        "resolve", "omega-n", "not-an-integer", "eval-scale", "omega-scale"])
+        "resolve", "omega-n", "not-an-integer", "eval-scale", "omega-scale",
+        "resolve-depth"])
 def test_vacuous_counts_are_usage_errors(argv, capsys, tmp_path):
     # a count that leaves nothing to compute is refused, not answered
     # with an empty table, a vacuous verdict or a traceback
@@ -273,6 +275,35 @@ def test_vacuous_counts_are_usage_errors(argv, capsys, tmp_path):
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "usage-error"
     assert "must be at least" in err or "invalid count value" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["framing-factor", "--target", "C2", "--labels", "a", "--assign", "1"],
+     "parse-error"),
+    (["framing-factor", "--target", "C2", "--labels", "", "--assign", "1"],
+     "parse-error"),
+    (["framing-factor", "--target", "C2", "--labels", "-1", "--assign", "1"],
+     "parse-error"),
+    (["framing-factor", "--target", "C2", "--labels", "1", "--assign", "x"],
+     "parse-error"),
+    (["eval", "--object", "x" * 5000, "--group", "C2"], "parse-error"),
+    (["eval", "--object", "misc-b", "--group", "C2", "--out",
+      "{tmp}/missing/x.json"], "usage-error"),
+    (["torsion", "--object", "misc-b", "--group", "C2", "--tower", "E2",
+      "--max-stage", "40"], "scale-exceeded"),
+], ids=["labels-letter", "labels-empty", "labels-negative", "assign-letter",
+        "object-name-too-long", "out-missing-dir", "torsion-stage-40"])
+def test_bad_inputs_are_typed_errors(argv, error, tmp_path, subprocess_env):
+    # each input once printed a traceback (or, at stage 40, ran for good):
+    # now exit 1, empty stdout, one JSON error; stage 40 is refused at
+    # C2^13, whose 8191 labels exceed the elimination bound
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    run = subprocess.run([sys.executable, "-m", "repstab.cli", *argv,
+                          "--cache", str(tmp_path)], env=subprocess_env,
+                         capture_output=True, text=True, timeout=20)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 1 and run.stdout == ""
+    assert json.loads(run.stderr)["error"] == error
 
 
 def test_evaluation_above_the_scale_is_typed_error(capsys, tmp_path):

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repstab.errors import InvariantViolation
 from repstab.intmat import (hermite_row_form, smith_normal_form,
-                            integer_kernel, solve_integer, mat_identity,
-                            inverse_mod)
+                            mat_identity, inverse_mod)
 
-from oracles import mat_mul, hermite_row_form_oracle
+from oracles import (mat_mul, hermite_row_form_oracle, integer_kernel,
+                     solve_integer)
 
 
 def _is_unimodular(m):
@@ -132,6 +132,20 @@ def test_modular_hermite_matches_oracle():
             rows.append([m * rng.randint(-2, 2) for m in mods])
         want = hermite_row_form_oracle(rows + _relation_rows(mods), rank)
         assert hermite_row_form(rows, mods) == want, (mods, rows)
+
+
+def test_modular_hermite_takes_moduli_in_any_order():
+    # D is the largest modulus wherever it stands: the graph and
+    # intersection lattices stack target and source moduli unsorted
+    rng = random.Random(24)
+    for case in range(1500):
+        p = (2, 3, 5)[case % 3]
+        mods = tuple(p ** rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        rows = [[rng.randint(-2 * m, 2 * m) for m in mods]
+                for _ in range(rng.randint(0, 4))]
+        want = hermite_row_form_oracle(rows + _relation_rows(mods), len(mods))
+        assert hermite_row_form(rows, mods) == want, (mods, rows)
+    assert hermite_row_form([[0, 4]], (2, 8)) == [[2, 0], [0, 4]]
 
 
 def test_modular_hermite_needs_unit_and_carry():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from repstab import groups
+from repstab import groups, presentations
 from repstab.groups import (group, cyclic, trivial_group, make_morphism,
                             enumerate_epis, automorphisms, identity_morphism,
                             quotient_exists, first_epi)
@@ -179,6 +179,21 @@ def test_evaluation_bound_holds_on_a_warm_cache():
         with pytest.raises(ScaleExceeded):
             evaluate(x, c23, limit=4)
     assert evaluate_dim(warm, c23) == 0
+
+
+def test_evaluation_is_refused_by_its_label_count(monkeypatch):
+    # misc-b has one generator C2, so 2^k - 1 labels at C2^k: the
+    # elimination's (2^k - 1)^2 is within the 2^24 candidate bound at
+    # k = 12 and refused at k = 13, before any label is enumerated
+    evaluated = []
+    monkeypatch.setattr(presentations, "_evaluate",
+                        lambda x, t: evaluated.append(t) or "evaluated")
+    x = torsion_example_b()
+    c2_12, c2_13 = group(2, [1] * 12), group(2, [1] * 13)
+    assert _eval_data(x, c2_12, 2 ** 13) == "evaluated"
+    with pytest.raises(ScaleExceeded, match="8191\\^2|67092481"):
+        _eval_data(x, c2_13, 2 ** 13)
+    assert evaluated == [c2_12]
 
 
 def test_evaluate_generator_example():

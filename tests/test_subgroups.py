@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from repstab.groups import group, cyclic, make_morphism, enumerate_epis
+from repstab.groups import (group, cyclic, make_morphism, enumerate_epis,
+                            section)
 from repstab.subgroups import (subgroup_from_generators,
                                enumerate_subgroups, kernel, image,
                                quotient, normal_quotient_poset, q_leq_n,
@@ -8,13 +11,14 @@ from repstab.subgroups import (subgroup_from_generators,
                                minimal_subgroups)
 from repstab.families import all_abelian, cyclic_family
 from repstab.errors import NotASubgroup, FamilyNotSubmultiplicative, \
-    ScaleExceeded
+    NotSurjective, ScaleExceeded
 
 from repstab import subgroups
 
 from oracles import (coordinates_bruteforce, coset_min_bruteforce,
                      subgroups_bruteforce, preimage, sum_with,
-                     intersection_order, generic_subgroups_bruteforce)
+                     intersection_order, generic_subgroups_bruteforce,
+                     all_matrices, intersect_via_kernel)
 
 C2 = cyclic(2, 1)
 C4 = cyclic(2, 2)
@@ -123,6 +127,70 @@ def test_intersection_and_sum():
     assert diag.intersect(left).order == 1
     assert sum_with(diag, left).order == 4
     assert intersection_order(diag, left) == 1
+
+
+def _graph_cases():
+    """Every morphism between 2-groups of order <= 16, then random ones
+    for p in {3, 5} with mixed exponents, many of whose targets have a
+    modulus above every modulus of the source."""
+    small = all_abelian(2).members(16)
+    for g in small:
+        for h in small:
+            for m in all_matrices(g, h):
+                yield make_morphism(g, h, m)
+    rng = random.Random(24)
+    for case in range(800):
+        p = (3, 5)[case % 2]
+        g, h = (group(p, sorted((rng.randint(1, 3)
+                                 for _ in range(rng.randint(0, 3))),
+                                reverse=True)) for _ in range(2))
+        yield make_morphism(g, h, [[rng.randrange(p ** mu)
+                                    * p ** max(0, mu - lam)
+                                    for lam in g.exponents]
+                                   for mu in h.exponents])
+
+
+def test_graph_lattice_blocks_match_oracles():
+    # kernel and section are blocks of one Hermite form of the graph
+    # lattice; the kernel oracle is the preimage of 0 from one integer
+    # kernel, and f is onto exactly when that kernel has index |target|
+    seen = {}
+    for f in _graph_cases():
+        g, h = f.source, f.target
+        ker = kernel(f)
+        assert ker.basis == preimage(f, trivial_subgroup(h)).basis, f
+        onto = ker.order * h.order == g.order
+        key = (g.p, onto, max(h.moduli(), default=1)
+               > max(g.moduli(), default=1))
+        seen[key] = seen.get(key, 0) + 1
+        if not onto:
+            with pytest.raises(NotSurjective):
+                section(f)
+            continue
+        sec = section(f)
+        assert len(sec) == h.rank
+        for k, x in enumerate(sec):
+            assert f(x) == tuple(int(i == k) for i in range(h.rank)), f
+            # reduced into the box of the kernel's pivots
+            assert all(0 <= v < row[i]
+                       for i, (v, row) in enumerate(zip(x, ker.basis))), f
+    assert seen == {(2, True, False): 23841, (2, False, False): 59671,
+                    (2, False, True): 6145,
+                    (3, True, False): 174, (3, False, False): 95,
+                    (3, False, True): 131,
+                    (5, True, False): 182, (5, False, False): 68,
+                    (5, False, True): 150}
+
+
+@pytest.mark.parametrize("g", [group(2, [2, 1, 1]), C82, C93], ids=repr)
+def test_intersect_matches_oracle(g):
+    subs = enumerate_subgroups(g)
+    for s in subs:
+        elements = set(s.elements())
+        for t in subs:
+            meet = s.intersect(t)
+            assert meet.basis == intersect_via_kernel(s, t).basis
+            assert set(meet.elements()) == elements & set(t.elements())
 
 
 def test_normal_quotient_poset_examples():
